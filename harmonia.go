@@ -562,6 +562,13 @@ func (s *System) HarmoniaNaiveE() (*Controller, error) {
 // this system's simulator (Section 4's methodology). Use it to extend the
 // predictor to custom workloads. A failure wraps ErrTrainingFailed.
 func (s *System) TrainPredictor(kernels []*Kernel) (*Predictor, error) {
+	// Validate before any sweep: a malformed kernel must not reach the
+	// memo, and NaN fields would make every one of its probes a miss.
+	for _, k := range kernels {
+		if err := k.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrTrainingFailed, err)
+		}
+	}
 	p, err := sensitivity.Train(sensitivity.BuildConfigTrainingSet(s.runner(), kernels))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTrainingFailed, err)

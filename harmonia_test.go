@@ -1,6 +1,7 @@
 package harmonia
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -140,6 +141,31 @@ func TestTrainPredictorOnSubset(t *testing.T) {
 	s.UsePredictor(p)
 	if s.Predictor() != p {
 		t.Error("UsePredictor not honored")
+	}
+}
+
+// TestTrainPredictorRejectsMalformedKernels: kernels are validated
+// before any sweep, so a bad descriptor fails with ErrTrainingFailed and
+// never reaches the memo.
+func TestTrainPredictorRejectsMalformedKernels(t *testing.T) {
+	good := App("CoMD").Kernels
+	for name, mutate := range map[string]func(*Kernel){
+		"NaN serial cycles":   func(k *Kernel) { k.SerialCycles = math.NaN() },
+		"+Inf VALU":           func(k *Kernel) { k.VALUPerWI = math.Inf(1) },
+		"negative SALU":       func(k *Kernel) { k.SALUPerWI = -1 },
+		"negative launch":     func(k *Kernel) { k.LaunchOverhead = -1 },
+		"NaN bytes per write": func(k *Kernel) { k.BytesPerWrite = math.NaN() },
+	} {
+		bad := *good[len(good)-1]
+		mutate(&bad)
+		s := NewSystem(WithSimCache())
+		kernels := append(append([]*Kernel(nil), good[:len(good)-1]...), &bad)
+		if _, err := s.TrainPredictor(kernels); !errors.Is(err, ErrTrainingFailed) {
+			t.Errorf("%s: TrainPredictor err = %v, want ErrTrainingFailed", name, err)
+		}
+		if hits, misses := s.SimCacheStats(); hits != 0 || misses != 0 {
+			t.Errorf("%s: rejected kernels reached the memo: %d hits, %d misses", name, hits, misses)
+		}
 	}
 }
 

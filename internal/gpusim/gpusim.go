@@ -345,9 +345,9 @@ func (inv *Invariants) Run(cfg hw.Config) Result {
 // per-(kernel, iteration) invariant work out of a configuration sweep:
 // Prepare returns an evaluator bound to one invocation whose results
 // are bit-identical to Run's. The evaluator must be safe for concurrent
-// use by sweep workers. internal/simcache's Cached satisfies this with
-// a prebuilt memo key; the raw Model satisfies it with hoisted
-// Invariants.
+// use by sweep workers. internal/simcache's Cached satisfies this by
+// resolving the invocation's memo slab once; the raw Model satisfies it
+// with hoisted Invariants.
 type PreparedRunner interface {
 	Runner
 	Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Result

@@ -282,9 +282,31 @@ func ConfigSpace() []Config {
 	return space
 }
 
+// Grid sizes of the three tunable axes.
+const (
+	numCUCounts = (MaxCUs-MinCUs)/CUStep + 1
+	numCUFreqs  = int((MaxCUFreq-MinCUFreq)/CUFreqStep) + 1
+	numMemFreqs = int((MaxMemFreq-MinMemFreq)/MemFreqStep) + 1
+)
+
+// SpaceSize is the number of configurations in ConfigSpace(), as a
+// constant so that per-configuration tables can be fixed-size arrays
+// indexed by Config.Index.
+const SpaceSize = numCUCounts * numCUFreqs * numMemFreqs
+
 // NumConfigs returns the size of the configuration space.
-func NumConfigs() int {
-	return len(CUCounts()) * len(CUFreqs()) * len(MemFreqs())
+func NumConfigs() int { return SpaceSize }
+
+// Index returns c's position in ConfigSpace(). ok is false, and i
+// meaningless, when c lies off the legal grid.
+func (c Config) Index() (i int, ok bool) {
+	if !c.Valid() {
+		return 0, false
+	}
+	cu := (c.Compute.CUs - MinCUs) / CUStep
+	cf := int((c.Compute.Freq - MinCUFreq) / CUFreqStep)
+	mf := int((c.Memory.BusFreq - MinMemFreq) / MemFreqStep)
+	return (cu*numCUFreqs+cf)*numMemFreqs + mf, true
 }
 
 // Step direction for tunable adjustment.

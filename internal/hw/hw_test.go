@@ -18,6 +18,41 @@ func TestConfigSpaceSize(t *testing.T) {
 	}
 }
 
+// TestConfigIndexMatchesConfigSpace pins Config.Index to ConfigSpace()
+// order: tables indexed by it line up with a sweep over the space.
+func TestConfigIndexMatchesConfigSpace(t *testing.T) {
+	space := ConfigSpace()
+	if len(space) != SpaceSize {
+		t.Fatalf("SpaceSize = %d, ConfigSpace has %d entries", SpaceSize, len(space))
+	}
+	for i, c := range space {
+		if got, ok := c.Index(); got != i || !ok {
+			t.Errorf("%v.Index() = %d, %v; want %d, true", c, got, ok, i)
+		}
+	}
+}
+
+func TestConfigIndexOffGrid(t *testing.T) {
+	max := MaxConfig()
+	offGrid := []Config{
+		{},
+		{Compute: ComputeConfig{CUs: 6, Freq: MaxCUFreq}, Memory: max.Memory},
+		{Compute: ComputeConfig{CUs: 0, Freq: MaxCUFreq}, Memory: max.Memory},
+		{Compute: ComputeConfig{CUs: MaxCUs + CUStep, Freq: MaxCUFreq}, Memory: max.Memory},
+		{Compute: ComputeConfig{CUs: MaxCUs, Freq: 750}, Memory: max.Memory},
+		{Compute: ComputeConfig{CUs: MaxCUs, Freq: MinCUFreq - CUFreqStep}, Memory: max.Memory},
+		{Compute: ComputeConfig{CUs: MaxCUs, Freq: MaxCUFreq + CUFreqStep}, Memory: max.Memory},
+		{Compute: max.Compute, Memory: MemConfig{BusFreq: 500}},
+		{Compute: max.Compute, Memory: MemConfig{BusFreq: MaxMemFreq + MemFreqStep}},
+		{Compute: max.Compute, Memory: MemConfig{BusFreq: -MinMemFreq}},
+	}
+	for _, c := range offGrid {
+		if i, ok := c.Index(); ok {
+			t.Errorf("off-grid %v.Index() = %d, true; want ok == false", c, i)
+		}
+	}
+}
+
 func TestConfigSpaceAllValidAndUnique(t *testing.T) {
 	seen := make(map[Config]bool)
 	for _, c := range ConfigSpace() {

@@ -263,7 +263,7 @@ func (*Oracle) Observe(string, int, gpusim.Result) {}
 
 // evalFor returns the sweep evaluator for one kernel invocation. When
 // the runner supports prepared evaluation (gpusim.PreparedRunner), the
-// per-invocation work — invariant hoisting, memo-key projection — is
+// per-invocation work — invariant hoisting, memo slab lookup — is
 // done once here instead of once per swept configuration; results are
 // bit-identical either way.
 func (o *Oracle) evalFor(k *workloads.Kernel, iter int) sweep.Eval {

@@ -316,8 +316,8 @@ func kernelConfigRows(m gpusim.Runner, k *workloads.Kernel, space []hw.Config) [
 	if k.Phases != nil {
 		iters = measureIters
 	}
-	// Hoist the per-iteration invariant work (and the memo-key
-	// projection, when m is a cache) out of the configuration loop. The
+	// Hoist the per-iteration invariant work (and the memo slab lookup,
+	// when m is a cache) out of the configuration loop. The
 	// row order — configuration-outer, iteration-inner — is what the
 	// fitted predictor's bit-identity depends on, so only the per-call
 	// evaluation changes, never the loop structure.

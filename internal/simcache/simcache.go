@@ -1,24 +1,28 @@
 // Package simcache memoizes the interval simulator. The paper's entire
 // methodology is exhaustive re-simulation: sensitivity training sweeps
-// every kernel across all ~448 hardware configurations, the Section 7
+// every kernel across all 448 hardware configurations, the Section 7
 // oracle re-sweeps the space for every kernel invocation, and every
 // ablation replays the same suite — so the same (kernel, iteration,
 // configuration) triples are evaluated over and over. The simulator is
 // pure, which makes its results perfectly memoizable: a cached run is
 // bit-identical to an uncached one.
 //
-// The cache key covers exactly what gpusim.(*Model).Run reads — the
-// model's calibration constants, every numeric field of the kernel
-// descriptor, the phase resolved for the iteration, and the hardware
-// configuration — so distinct Model calibrations never collide, two
-// kernels that happen to share a name never collide, and iterations that
-// resolve to the same phase share one entry (phase-stable kernels hit
-// the cache after a single iteration).
+// The memo is a set of slabs, one per simulation identity: the model's
+// calibration constants, every numeric field of the kernel descriptor,
+// and the phase resolved for the iteration — exactly what
+// gpusim.(*Model).Run reads besides the configuration. Distinct Model
+// calibrations and same-named kernels therefore never collide, and
+// iterations that resolve to the same phase share one slab
+// (phase-stable kernels hit after a single iteration). A slab holds one
+// result slot per configuration, indexed by hw.Config.Index, plus a
+// filled bitmap; the paper suite fills 33 slabs × 448 slots.
 //
-// The store is sharded to keep concurrent sweeps from serializing on one
-// lock: each shard has its own RWMutex-guarded map, and the shard is
-// picked by an FNV-1a hash of the kernel name, iteration phase, and
-// configuration.
+// The identity is looked up once per Run, RunHit, Decision and Prepare
+// — never per swept configuration, so a probe inside a Prepare
+// evaluator does no hashing. Hits are lock-free: an atomic load of the
+// slot's filled bit, then a read of the slot. Fills take the slab's
+// mutex and write the result before setting its bit, so a reader that
+// sees the bit sees the whole result.
 //
 // The cache memoizes at two granularities: individual simulation
 // results (Run), and whole sweep decisions (Decision/StoreDecision) —
@@ -29,6 +33,7 @@
 package simcache
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -38,14 +43,14 @@ import (
 	"harmonia/internal/workloads"
 )
 
-// shardCount is a power of two so shard selection is a mask. 64 shards
-// keep lock contention negligible at sweep-pool concurrency.
-const shardCount = 64
-
-// kernelKey is the comparable projection of a kernel descriptor: every
-// field gpusim.(*Model).Run reads, with the per-iteration phase function
-// resolved to its Phase value (Phase is three float64s and comparable).
-type kernelKey struct {
+// identity names one slab: the model calibration plus the comparable
+// projection of a kernel descriptor — every field gpusim.(*Model).Run
+// reads, with the per-iteration phase function resolved to its Phase
+// value (Phase is three float64s and comparable). gpusim.Model is a
+// struct of calibration floats, so embedding its value keeps two
+// differently calibrated simulators from ever sharing a slab.
+type identity struct {
+	model        gpusim.Model
 	name         string
 	wgSize, wgs  int
 	valu, salu   float64
@@ -61,21 +66,10 @@ type kernelKey struct {
 	phase        workloads.Phase
 }
 
-// key is one memo entry's identity: model calibration, kernel
-// projection, and hardware configuration. gpusim.Model is a struct of
-// calibration floats, so embedding its value keeps two differently
-// calibrated simulators from ever sharing entries.
-type key struct {
-	model  gpusim.Model
-	kernel kernelKey
-	cfg    hw.Config
-}
-
-// kernelKeyOf resolves the iteration to its phase and projects the
-// kernel onto the comparable key form.
-func kernelKeyOf(k *workloads.Kernel, iter int) kernelKey {
+func identityOf(m *gpusim.Model, k *workloads.Kernel, iter int) identity {
 	phase := k.PhaseFor(iter)
-	return kernelKey{
+	return identity{
+		model:  *m,
 		name:   k.Name,
 		wgSize: k.WorkgroupSize, wgs: k.Workgroups,
 		valu: k.VALUPerWI, salu: k.SALUPerWI,
@@ -91,107 +85,117 @@ func kernelKeyOf(k *workloads.Kernel, iter int) kernelKey {
 	}
 }
 
-func keyOf(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) key {
-	return key{model: *m, kernel: kernelKeyOf(k, iter), cfg: cfg}
-}
-
-// shard is one lock-striped slice of the store.
-type shard struct {
-	mu sync.RWMutex
-	m  map[key]gpusim.Result
-}
-
-// decShard is one lock-striped slice of the decision memo. Decisions
-// were originally a single RWMutex-guarded map while results were
-// 64-way striped — every sweep in every worker funneled through one
-// lock word, and under the race detector (which serializes RLock
-// bookkeeping) the hit path stopped scaling entirely.
-type decShard struct {
-	mu sync.RWMutex
-	m  map[decisionKey]hw.Config
-}
-
-// decisionKey identifies one exhaustive-sweep argmin: the sweep's
-// output is a pure function of the simulator calibration, the power
-// calibration, the kernel-plus-phase projection, the objective, and the
-// configuration space swept. The space is hw.ConfigSpace() for every
-// oracle; its length is kept as a guard against a future variant
-// sweeping a subset.
+// decisionKey identifies one exhaustive-sweep argmin within a slab: the
+// sweep's output is a pure function of the slab's identity, the power
+// calibration, the objective, and the configuration space swept. The
+// space is hw.ConfigSpace() for every oracle; its length is kept as a
+// guard against a future variant sweeping a subset.
 type decisionKey struct {
-	model     gpusim.Model
 	pow       power.Params
-	kernel    kernelKey
 	objective int
 	spaceLen  int
 }
 
-// Cache is a sharded, concurrency-safe memo of simulation results. The
-// zero value is not usable; construct with New. A Cache may back any
-// number of Cached runners over any number of models simultaneously.
+// slab memoizes one identity across the configuration space. filled
+// bit i is set, under mu, only after results[i] is written, and never
+// cleared; a slot whose bit is set is immutable and read without a lock.
+type slab struct {
+	filled  [(hw.SpaceSize + 63) / 64]atomic.Uint64
+	results [hw.SpaceSize]gpusim.Result
+
+	mu        sync.Mutex
+	decisions map[decisionKey]hw.Config
+}
+
+// get returns slot i when it is filled.
+func (s *slab) get(i int) (gpusim.Result, bool) {
+	if s.filled[i/64].Load()&(1<<(i%64)) == 0 {
+		return gpusim.Result{}, false
+	}
+	return s.results[i], true
+}
+
+// put fills slot i unless a concurrent miss already did; both computed
+// the same result, and a filled slot may be under lock-free readers.
+func (s *slab) put(i int, r gpusim.Result) {
+	w := &s.filled[i/64]
+	bit := uint64(1) << (i % 64)
+	s.mu.Lock()
+	if old := w.Load(); old&bit == 0 {
+		s.results[i] = r
+		w.Store(old | bit)
+	}
+	s.mu.Unlock()
+}
+
+// Cache is a concurrency-safe memo of simulation results. The zero
+// value is not usable; construct with New. A Cache may back any number
+// of Cached runners over any number of models simultaneously.
 //
 // Beyond per-invocation results the cache holds a second, coarser level:
 // memoized sweep decisions (the argmin configuration of an exhaustive
 // oracle sweep). Per-result memoization cannot beat the analytic
 // interval model on wall-clock — a model evaluation costs about as much
-// as a map probe — but a decision entry replaces an entire ~450-point
+// as a memo lookup — but a decision entry replaces an entire ~450-point
 // sweep (simulation, power rails, and pool scheduling) with one lookup,
 // which is where the repeat-invocation speedup comes from.
 type Cache struct {
-	shards [shardCount]shard
+	mu    sync.RWMutex
+	slabs map[identity]*slab
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 
-	decShards [shardCount]decShard
 	decHits   atomic.Uint64
 	decMisses atomic.Uint64
 }
 
 // New returns an empty cache.
 func New() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[key]gpusim.Result)
-	}
-	for i := range c.decShards {
-		c.decShards[i].m = make(map[decisionKey]hw.Config)
-	}
-	return c
+	return &Cache{slabs: make(map[identity]*slab)}
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvString folds s into an FNV-1a hash state.
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
+// slab returns the slab for m's kernel k at iteration iter, creating it
+// when create is set. It returns nil for an identity with a NaN field:
+// such a key never equals itself, so a stored slab could never be found
+// again and every probe would allocate another.
+func (c *Cache) slab(m *gpusim.Model, k *workloads.Kernel, iter int, create bool) *slab {
+	id := identityOf(m, k, iter)
+	if id != id {
+		return nil
 	}
-	return h
+	c.mu.RLock()
+	s := c.slabs[id]
+	c.mu.RUnlock()
+	if s != nil || !create {
+		return s
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s = c.slabs[id]; s == nil {
+		s = &slab{decisions: make(map[decisionKey]hw.Config)}
+		c.slabs[id] = s
+	}
+	return s
 }
 
-// shardFor hashes the cheap, high-entropy parts of the key (kernel name,
-// phase work scale, configuration) with FNV-1a to pick a shard.
-func (c *Cache) shardFor(k *key) *shard {
-	h := fnvString(fnvOffset64, k.kernel.name)
-	h = (h ^ uint64(k.cfg.Compute.CUs)) * fnvPrime64
-	h = (h ^ uint64(k.cfg.Compute.Freq)) * fnvPrime64
-	h = (h ^ uint64(k.cfg.Memory.BusFreq)) * fnvPrime64
-	h = (h ^ uint64(k.kernel.phase.WorkScale*1024)) * fnvPrime64
-	return &c.shards[h&(shardCount-1)]
-}
-
-// decShardFor picks a decision shard from the kernel name, resolved
-// phase, and objective — the parts of a decision key that vary across
-// concurrent sweeps sharing one cache.
-func (c *Cache) decShardFor(dk *decisionKey) *decShard {
-	h := fnvString(fnvOffset64, dk.kernel.name)
-	h = (h ^ uint64(dk.objective)) * fnvPrime64
-	h = (h ^ uint64(dk.kernel.phase.WorkScale*1024)) * fnvPrime64
-	h = (h ^ uint64(dk.kernel.phase.FetchScale*1024)) * fnvPrime64
-	return &c.decShards[h&(shardCount-1)]
+// lookup is the one read path behind Run, RunHit and Prepare: slab s's
+// result for cfg, or run(cfg) stored into s on a miss. A nil slab or an
+// off-grid configuration falls through to run uncached, as a miss.
+func (c *Cache) lookup(s *slab, cfg hw.Config, run func(hw.Config) gpusim.Result) (gpusim.Result, bool) {
+	i, onGrid := cfg.Index()
+	if s != nil && onGrid {
+		if r, ok := s.get(i); ok {
+			c.hits.Add(1)
+			return r, true
+		}
+	}
+	c.misses.Add(1)
+	r := run(cfg)
+	if s != nil && onGrid {
+		s.put(i, r)
+	}
+	return r, false
 }
 
 // Run returns the memoized result of m.Run(k, iter, cfg), simulating
@@ -207,49 +211,19 @@ func (c *Cache) Run(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Confi
 // identical either way; the flag exists so the tracing layer can
 // annotate simulate spans with cache behaviour without touching it.
 func (c *Cache) RunHit(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool) {
-	ky := keyOf(m, k, iter, cfg)
-	sh := c.shardFor(&ky)
-	sh.mu.RLock()
-	r, ok := sh.m[ky]
-	sh.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return r, true
-	}
-	c.misses.Add(1)
-	r = m.Run(k, iter, cfg)
-	sh.mu.Lock()
-	sh.m[ky] = r
-	sh.mu.Unlock()
-	return r, false
+	return c.lookup(c.slab(m, k, iter, true), cfg, func(cfg hw.Config) gpusim.Result { return m.Run(k, iter, cfg) })
 }
 
 // Prepare returns a single-invocation evaluator for m's kernel k at
-// iteration iter whose results are bit-identical to Run's. The memo key
-// is built once — per probe only the configuration field changes — so
-// the sweep-read path does no key projection, no phase resolution, and
-// no allocation; misses fall through to the model's own hoisted
-// Invariants. The evaluator is safe for concurrent sweep workers: each
-// probe works on its own stack copy of the key.
+// iteration iter whose results are bit-identical to Run's. The slab is
+// resolved once, so a probe is an index computation and a bitmap load;
+// misses fall through to the model's own hoisted Invariants. The
+// evaluator is safe for concurrent sweep workers.
 func (c *Cache) Prepare(m *gpusim.Model, k *workloads.Kernel, iter int) func(cfg hw.Config) gpusim.Result {
-	base := keyOf(m, k, iter, hw.Config{})
+	s := c.slab(m, k, iter, true)
 	run := m.Prepare(k, iter)
 	return func(cfg hw.Config) gpusim.Result {
-		ky := base
-		ky.cfg = cfg
-		sh := c.shardFor(&ky)
-		sh.mu.RLock()
-		r, ok := sh.m[ky]
-		sh.mu.RUnlock()
-		if ok {
-			c.hits.Add(1)
-			return r
-		}
-		c.misses.Add(1)
-		r = run(cfg)
-		sh.mu.Lock()
-		sh.m[ky] = r
-		sh.mu.Unlock()
+		r, _ := c.lookup(s, cfg, run)
 		return r
 	}
 }
@@ -260,14 +234,13 @@ func (c *Cache) Prepare(m *gpusim.Model, k *workloads.Kernel, iter int) func(cfg
 // an entry, so a phase-stable kernel pays for one sweep across all its
 // invocations — and across every oracle sharing the cache.
 func (c *Cache) Decision(m *gpusim.Model, pow power.Params, k *workloads.Kernel, iter, objective, spaceLen int) (hw.Config, bool) {
-	dk := decisionKey{
-		model: *m, pow: pow, kernel: kernelKeyOf(k, iter),
-		objective: objective, spaceLen: spaceLen,
+	var cfg hw.Config
+	ok := false
+	if s := c.slab(m, k, iter, false); s != nil {
+		s.mu.Lock()
+		cfg, ok = s.decisions[decisionKey{pow: pow, objective: objective, spaceLen: spaceLen}]
+		s.mu.Unlock()
 	}
-	sh := c.decShardFor(&dk)
-	sh.mu.RLock()
-	cfg, ok := sh.m[dk]
-	sh.mu.RUnlock()
 	if ok {
 		c.decHits.Add(1)
 	} else {
@@ -281,14 +254,13 @@ func (c *Cache) Decision(m *gpusim.Model, pow power.Params, k *workloads.Kernel,
 // layer breaks ties toward the earliest index), so concurrent callers
 // racing to store the same key write the same value.
 func (c *Cache) StoreDecision(m *gpusim.Model, pow power.Params, k *workloads.Kernel, iter, objective, spaceLen int, cfg hw.Config) {
-	dk := decisionKey{
-		model: *m, pow: pow, kernel: kernelKeyOf(k, iter),
-		objective: objective, spaceLen: spaceLen,
+	s := c.slab(m, k, iter, true)
+	if s == nil {
+		return
 	}
-	sh := c.decShardFor(&dk)
-	sh.mu.Lock()
-	sh.m[dk] = cfg
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.decisions[decisionKey{pow: pow, objective: objective, spaceLen: spaceLen}] = cfg
+	s.mu.Unlock()
 }
 
 // Stats reports the lifetime hit and miss counts.
@@ -301,13 +273,15 @@ func (c *Cache) DecisionStats() (hits, misses uint64) {
 	return c.decHits.Load(), c.decMisses.Load()
 }
 
-// Len returns the number of memoized results.
+// Len returns the number of memoized results: filled slots, not slabs.
 func (c *Cache) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.RUnlock()
+	for _, s := range c.slabs {
+		for i := range s.filled {
+			n += bits.OnesCount64(s.filled[i].Load())
+		}
 	}
 	return n
 }
@@ -319,8 +293,6 @@ type Cached struct {
 	Model *gpusim.Model
 	Cache *Cache
 }
-
-var _ gpusim.Runner = Cached{}
 
 // Run implements gpusim.Runner.
 func (c Cached) Run(k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result {
@@ -340,8 +312,8 @@ func (c Cached) RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Res
 }
 
 // Prepare implements gpusim.PreparedRunner: the returned evaluator
-// probes the memo with a prebuilt key and falls through to the model's
-// hoisted Invariants on a miss, bit-identical to Run either way.
+// probes the memo's slab for this invocation and falls through to the
+// model's hoisted Invariants on a miss, bit-identical to Run either way.
 func (c Cached) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) gpusim.Result {
 	if c.Cache == nil {
 		return c.Model.Prepare(k, iter)

@@ -1,6 +1,8 @@
 package simcache
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -127,30 +129,38 @@ func TestPhaseStableIterationsShareEntries(t *testing.T) {
 }
 
 func TestConcurrentMixedSweep(t *testing.T) {
-	// Many goroutines sweep overlapping (kernel, iter, config) triples
-	// through one cache; run under -race. Every returned result must
-	// equal the raw model's.
+	// Goroutines sweep overlapping (kernel, iter, config) triples through
+	// one cache, three ways at once: Run probes over a prefix of the
+	// space, Prepare sweeps filling whole slabs while the Run probes read
+	// them lock-free, and decision reads and writes on the same slabs.
+	// Run under -race. Every returned result must equal the raw model's.
 	m := gpusim.Default()
+	pp := power.DefaultParams()
 	c := New()
 	kernels := workloads.AllKernels()[:6]
-	space := hw.ConfigSpace()[:40]
+	prefix := hw.ConfigSpace()[:40]
+	space := hw.ConfigSpace()
 
 	var wg sync.WaitGroup
-	errs := make(chan string, 8)
+	start := make(chan struct{}) // release every goroutine at once
+	errs := make(chan string, 16)
+	fail := func(name string) {
+		select {
+		case errs <- name:
+		default:
+		}
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			for pass := 0; pass < 2; pass++ {
 				for ki, k := range kernels {
-					for ci, cfg := range space {
+					for ci, cfg := range prefix {
 						iter := (g + ki + ci) % 3
-						got := c.Run(m, k, iter, cfg)
-						if want := m.Run(k, iter, cfg); got != want {
-							select {
-							case errs <- k.Name:
-							default:
-							}
+						if c.Run(m, k, iter, cfg) != m.Run(k, iter, cfg) {
+							fail(k.Name)
 							return
 						}
 					}
@@ -158,6 +168,29 @@ func TestConcurrentMixedSweep(t *testing.T) {
 			}
 		}(g)
 	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for ki, k := range kernels {
+				iter := ki % 3 // every sweeper fills the same slabs
+				eval := c.Prepare(m, k, iter)
+				for _, cfg := range space {
+					if eval(cfg) != m.Run(k, iter, cfg) {
+						fail(k.Name)
+						return
+					}
+				}
+				c.StoreDecision(m, pp, k, iter, g, len(space), hw.MaxConfig())
+				if cfg, ok := c.Decision(m, pp, k, iter, g, len(space)); !ok || cfg != hw.MaxConfig() {
+					fail(k.Name + " decision")
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	if name, bad := <-errs; bad {
@@ -272,6 +305,123 @@ func TestPreparedBitIdenticalToRun(t *testing.T) {
 	}
 }
 
+// TestRunAndPrepareShareSlots: Run, RunHit and a Prepare evaluator read
+// and fill the same slots, and Stats counts every probe exactly once.
+func TestRunAndPrepareShareSlots(t *testing.T) {
+	m := gpusim.Default()
+	c := New()
+	k := testKernel(t, "LUD.Internal")
+	space := hw.ConfigSpace()
+	half := len(space) / 2
+
+	// Run fills the first half; the evaluator then hits there and fills
+	// the second half.
+	for _, cfg := range space[:half] {
+		c.Run(m, k, 0, cfg)
+	}
+	eval := c.Prepare(m, k, 0)
+	for _, cfg := range space {
+		eval(cfg)
+	}
+	if hits, misses := c.Stats(); hits != uint64(half) || misses != uint64(len(space)) {
+		t.Fatalf("after Run then Prepare: hits=%d misses=%d, want %d/%d", hits, misses, half, len(space))
+	}
+	// Every slot is now filled, whichever path filled it.
+	for _, cfg := range space {
+		if _, hit := c.RunHit(m, k, 0, cfg); !hit {
+			t.Fatalf("RunHit missed %v after the evaluator filled it", cfg)
+		}
+	}
+	if hits, misses := c.Stats(); hits != uint64(half+len(space)) || misses != uint64(len(space)) {
+		t.Fatalf("after RunHit pass: hits=%d misses=%d, want %d/%d", hits, misses, half+len(space), len(space))
+	}
+	if n := c.Len(); n != len(space) {
+		t.Fatalf("Len() = %d, want %d", n, len(space))
+	}
+}
+
+// TestFilledSlotImmutable: a filled slot is read without a lock, so a
+// second fill (a concurrent miss on the same slot) must not write it.
+func TestFilledSlotImmutable(t *testing.T) {
+	var s slab
+	first, second := gpusim.Result{Time: 1}, gpusim.Result{Time: 2}
+	s.put(3, first)
+	s.put(3, second)
+	if r, ok := s.get(3); !ok || r != first {
+		t.Fatalf("slot 3 = %+v, %v after a second fill; want the first result", r, ok)
+	}
+	if _, ok := s.get(4); ok {
+		t.Fatal("neighbouring slot reads as filled")
+	}
+}
+
+// TestOffGridConfigUncached: a configuration off the hw grid has no slot,
+// so it falls through to the model, counts as a miss, and stores nothing.
+func TestOffGridConfigUncached(t *testing.T) {
+	m := gpusim.Default()
+	c := New()
+	k := testKernel(t, "LUD.Internal")
+	off := hw.MaxConfig()
+	off.Compute.CUs = 30
+	want := m.Run(k, 0, off)
+	eval := c.Prepare(m, k, 0)
+	for i := 0; i < 2; i++ {
+		if got, hit := c.RunHit(m, k, 0, off); hit || got != want {
+			t.Fatalf("RunHit(off-grid) = %+v, %v; want the model's result, false", got, hit)
+		}
+		if got := eval(off); got != want {
+			t.Fatalf("prepared off-grid probe = %+v, want %+v", got, want)
+		}
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("Len() = %d after off-grid probes, want 0", n)
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 4 {
+		t.Fatalf("off-grid probes: hits=%d misses=%d, want 0/4", hits, misses)
+	}
+}
+
+// TestNaNIdentityNotMemoized: a NaN kernel field or model calibration
+// makes the slab identity unequal to itself, so it could never be found
+// again; such probes run uncached rather than allocating a slab each.
+func TestNaNIdentityNotMemoized(t *testing.T) {
+	k := *testKernel(t, "LUD.Internal")
+	k.SerialCycles = math.NaN()
+	nanModel := gpusim.Default()
+	nanModel.MemLatency = math.NaN()
+	cfg := hw.MaxConfig()
+	pp := power.DefaultParams()
+	for _, tc := range []struct {
+		name string
+		m    *gpusim.Model
+		k    *workloads.Kernel
+	}{
+		{"NaN kernel", gpusim.Default(), &k},
+		{"NaN model", nanModel, testKernel(t, "LUD.Internal")},
+	} {
+		c := New()
+		want := tc.m.Run(tc.k, 0, cfg)
+		for i := 0; i < 3; i++ {
+			if got, hit := c.RunHit(tc.m, tc.k, 0, cfg); hit || !bitIdentical(got, want) {
+				t.Fatalf("%s: RunHit = %+v, %v; want the model's result, false", tc.name, got, hit)
+			}
+		}
+		c.StoreDecision(tc.m, pp, tc.k, 0, 0, 448, cfg)
+		if _, ok := c.Decision(tc.m, pp, tc.k, 0, 0, 448); ok {
+			t.Fatalf("%s: decision was memoized", tc.name)
+		}
+		if n, slabs := c.Len(), len(c.slabs); n != 0 || slabs != 0 {
+			t.Fatalf("%s: left %d results in %d slabs, want none", tc.name, n, slabs)
+		}
+	}
+}
+
+// bitIdentical compares results by their printed form, which is exact
+// for every float and, unlike ==, treats a NaN field as equal to itself.
+func bitIdentical(a, b gpusim.Result) bool {
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
 // TestPreparedNilCacheDegradesToModel mirrors For's nil-cache contract.
 func TestPreparedNilCacheDegradesToModel(t *testing.T) {
 	m := gpusim.Default()
@@ -283,59 +433,8 @@ func TestPreparedNilCacheDegradesToModel(t *testing.T) {
 	}
 }
 
-// TestDecisionShardContention is the regression test for the decision
-// memo's single-RWMutex bottleneck: many goroutines hammering the hit
-// path across distinct kernels/objectives must spread over the shard
-// array rather than serialize on one lock. Run under -race, which turns
-// any striping mistake into a detector report; the spread assertion
-// guards against a future change routing every key to one shard.
-func TestDecisionShardContention(t *testing.T) {
-	m := gpusim.Default()
-	pp := power.DefaultParams()
-	c := New()
-	kernels := workloads.AllKernels()
-	for _, k := range kernels {
-		for obj := 0; obj < 3; obj++ {
-			c.StoreDecision(m, pp, k, 0, obj, 448, hw.MaxConfig())
-		}
-	}
-	used := 0
-	for i := range c.decShards {
-		c.decShards[i].mu.RLock()
-		if len(c.decShards[i].m) > 0 {
-			used++
-		}
-		c.decShards[i].mu.RUnlock()
-	}
-	if used < shardCount/4 {
-		t.Fatalf("decision keys landed on %d/%d shards; striping collapsed", used, shardCount)
-	}
-
-	const goroutines = 16
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 50; rep++ {
-				for i, k := range kernels {
-					obj := (g + i) % 3
-					if cfg, ok := c.Decision(m, pp, k, 0, obj, 448); !ok || cfg != hw.MaxConfig() {
-						panic("decision lost under concurrent readers")
-					}
-				}
-				// Concurrent writers on other objectives keep the
-				// write path in the race mix.
-				c.StoreDecision(m, pp, kernels[g%len(kernels)], 0, 3+g, 448, hw.MinConfig())
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // BenchmarkDecisionHitParallel measures decision-memo hit throughput
 // under parallelism — the path every repeat-invocation sweep takes.
-// Before striping this serialized on one RWMutex.
 func BenchmarkDecisionHitParallel(b *testing.B) {
 	m := gpusim.Default()
 	pp := power.DefaultParams()

@@ -17,6 +17,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"harmonia/internal/hw"
 )
@@ -190,8 +191,12 @@ func (k *Kernel) Validate() error {
 		return fmt.Errorf("workloads: %s: workgroup size %d out of range", k.Name, k.WorkgroupSize)
 	case k.Workgroups <= 0:
 		return fmt.Errorf("workloads: %s: no workgroups", k.Name)
-	case k.VALUPerWI < 0 || k.FetchPerWI < 0 || k.WritePerWI < 0:
+	case k.VALUPerWI < 0 || k.SALUPerWI < 0 || k.FetchPerWI < 0 || k.WritePerWI < 0:
 		return fmt.Errorf("workloads: %s: negative instruction counts", k.Name)
+	case k.BytesPerFetch < 0 || k.BytesPerWrite < 0:
+		return fmt.Errorf("workloads: %s: negative bytes per access", k.Name)
+	case k.SerialCycles < 0 || k.LaunchOverhead < 0:
+		return fmt.Errorf("workloads: %s: negative serial time", k.Name)
 	case k.Divergence < 0 || k.Divergence >= 1:
 		return fmt.Errorf("workloads: %s: divergence %v out of [0,1)", k.Name, k.Divergence)
 	case k.L2Hit < 0 || k.L2Hit > 1:
@@ -208,6 +213,24 @@ func (k *Kernel) Validate() error {
 		return fmt.Errorf("workloads: %s: LDS %d out of range", k.Name, k.LDSBytes)
 	case k.MLPPerWave <= 0:
 		return fmt.Errorf("workloads: %s: MLP per wave must be positive", k.Name)
+	}
+	// NaN fails every comparison above, so it passes every range check;
+	// +Inf passes the one-sided ones.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"VALUPerWI", k.VALUPerWI}, {"SALUPerWI", k.SALUPerWI},
+		{"FetchPerWI", k.FetchPerWI}, {"WritePerWI", k.WritePerWI},
+		{"BytesPerFetch", k.BytesPerFetch}, {"BytesPerWrite", k.BytesPerWrite},
+		{"Divergence", k.Divergence}, {"L2Hit", k.L2Hit},
+		{"L2Thrash", k.L2Thrash}, {"RowHit", k.RowHit},
+		{"MLPPerWave", k.MLPPerWave}, {"SerialCycles", k.SerialCycles},
+		{"LaunchOverhead", k.LaunchOverhead},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workloads: %s: %s is %v, want a finite value", k.Name, f.name, f.v)
+		}
 	}
 	return nil
 }

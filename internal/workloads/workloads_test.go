@@ -195,6 +195,33 @@ func TestValidationCatchesBadDescriptors(t *testing.T) {
 		func(k *Kernel) { k.VGPRs = 500 },
 		func(k *Kernel) { k.MLPPerWave = 0 },
 		func(k *Kernel) { k.LDSBytes = 1 << 20 },
+		func(k *Kernel) { k.SALUPerWI = -1 },
+		func(k *Kernel) { k.BytesPerFetch = -4 },
+		func(k *Kernel) { k.BytesPerWrite = -4 },
+		func(k *Kernel) { k.SerialCycles = -1 },
+		func(k *Kernel) { k.LaunchOverhead = -1e-6 },
+	}
+	// Every float field must reject NaN and both infinities, which slip
+	// past range comparisons.
+	floatFields := []func(*Kernel) *float64{
+		func(k *Kernel) *float64 { return &k.VALUPerWI },
+		func(k *Kernel) *float64 { return &k.SALUPerWI },
+		func(k *Kernel) *float64 { return &k.FetchPerWI },
+		func(k *Kernel) *float64 { return &k.WritePerWI },
+		func(k *Kernel) *float64 { return &k.BytesPerFetch },
+		func(k *Kernel) *float64 { return &k.BytesPerWrite },
+		func(k *Kernel) *float64 { return &k.Divergence },
+		func(k *Kernel) *float64 { return &k.L2Hit },
+		func(k *Kernel) *float64 { return &k.L2Thrash },
+		func(k *Kernel) *float64 { return &k.RowHit },
+		func(k *Kernel) *float64 { return &k.MLPPerWave },
+		func(k *Kernel) *float64 { return &k.SerialCycles },
+		func(k *Kernel) *float64 { return &k.LaunchOverhead },
+	}
+	for _, field := range floatFields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cases = append(cases, func(k *Kernel) { *field(k) = v })
+		}
 	}
 	for i, mutate := range cases {
 		k := good

@@ -7,7 +7,8 @@
 # observability smoke (the spans endpoint in both formats, the tracing
 # inertness gates, and the debug mux), the hot-path equivalence gates
 # (golden float bits across the gpusim invariant hoisting, budgeted
-# nested parallelism vs serial, allocation-free sweeps), a bounded
+# nested parallelism vs serial, allocation-free sweeps, cached vs
+# uncached simulation), a bounded
 # chaos-soak of the resilience layer (make soak), and the benchmark
 # gate (simulation-memo speedup, the disabled-tracing overhead cap,
 # the sweep allocation ceiling, and the machine-aware parallel-scaling
@@ -59,10 +60,16 @@ go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdenti
 go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIdentical' .
 # Hot-path equivalence gates: the hoisted gpusim invariants must stay
 # bit-exact against the embedded golden float bits, budgeted nested
-# parallelism must reproduce the serial pipeline byte for byte, and the
-# pooled sweep scratch must stay allocation-free at steady state.
+# parallelism must reproduce the serial pipeline byte for byte, the
+# pooled sweep scratch must stay allocation-free at steady state, and
+# the simulation memo (slabs indexed by hw.Config.Index) must return
+# exactly what the uncached model computes, with faulted runs bypassing
+# it.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
 go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
+go test -count=1 -run 'TestCachedBitIdenticalToUncached|TestPreparedBitIdenticalToRun' ./internal/simcache/
+go test -count=1 -run 'TestConfigIndexMatchesConfigSpace|TestConfigIndexOffGrid' ./internal/hw/
+go test -count=1 -run 'TestCachedRunBitIdentical|TestFaultedRunBypassesCache' .
 make soak SOAK_ITERS="${SOAK_ITERS:-4}"
 sh scripts/bench.sh
