@@ -16,10 +16,33 @@
 //
 // Everything is deterministic: cache hits and divergence are spread with
 // Bresenham-style error accumulation rather than random numbers.
+//
+// The cycle loop does per-cycle work only where state can change:
+//
+//   - A SIMD retires and refills its waves only when one of them may have
+//     become done: its last issue, or a return that left it nothing in
+//     flight.
+//   - A SIMD's round-robin scan starts past the waves it already found
+//     blocked (no pause left, at the MLP cap or only waiting on memory),
+//     because only a return to one of them can unblock it.
+//   - The loop jumps over quiescent cycles.
+//
+// A cycle is quiescent when no SIMD issued or retired, each resident SIMD
+// either stalled or only counted down one wave's issue pause, and no
+// request waits for a crossing token. Until the next return or the end
+// of the shortest pause, every later cycle then repeats it exactly: no
+// wave's counters or cursor move except the pauses, no request enters or
+// leaves the crossing queue, the channels and the L2 hit spreader are
+// untouched, and the returns heap is only read. The jump of k cycles
+// therefore applies the repeated cycle's effects k times at once: k off
+// each pause, k per stalled SIMD to StallCycles, and k to MemBusyCycles
+// while returns are in flight. The crossing tokens are the exception:
+// they are replayed as k sequential float adds, because with a
+// non-integer rate such as 0.3 one multiply rounds differently and can
+// shift a later drain by a cycle.
 package eventsim
 
 import (
-	"container/heap"
 	"math"
 
 	"harmonia/internal/hw"
@@ -72,11 +95,13 @@ type Result struct {
 	DRAMBytes float64
 	// IssueSlots counts wavefront VALU instructions issued.
 	IssueSlots int64
-	// StallCycles counts cycles where at least one SIMD had resident
-	// waves but could not issue (all waiting on memory).
+	// StallCycles counts SIMD-cycles: each cycle adds one for every SIMD
+	// that had resident waves but could not issue (all waiting on
+	// memory). Divide by SIMDs × Cycles for a stalled fraction.
 	StallCycles int64
-	// MemBusyCycles counts cycles with at least one memory request in
-	// flight anywhere in the memory system.
+	// MemBusyCycles counts cycles that began with at least one memory
+	// request in flight anywhere in the memory system: waiting for a
+	// crossing token or awaiting its return.
 	MemBusyCycles int64
 	// L2Lines counts memory requests served by the L2.
 	L2Lines int64
@@ -106,6 +131,7 @@ type wave struct {
 	maxOut      int // MLP cap
 	memEvery    int // issue a memory request after this many VALU insts
 	sinceMem    int // VALU insts since the last memory request
+	simd        int // index of the SIMD the wave is resident on
 }
 
 func (w *wave) done() bool { return w.valuLeft <= 0 && w.memLeft <= 0 && w.outstanding <= 0 }
@@ -120,24 +146,101 @@ type returnEvent struct {
 }
 
 // returnHeap is a min-heap of return events ordered by completion cycle.
+// Events that complete on the same cycle only decrement counters, which
+// commute, so the order among equal-at pops is immaterial.
 type returnHeap []returnEvent
 
-func (h returnHeap) Len() int            { return len(h) }
-func (h returnHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h returnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *returnHeap) Push(x interface{}) { *h = append(*h, x.(returnEvent)) }
-func (h *returnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
+func (h *returnHeap) push(ev returnEvent) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p].at <= s[i].at {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+func (h *returnHeap) pop() returnEvent {
+	s := *h
+	ev := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].at < s[c].at {
+			c = r
+		}
+		if s[i].at <= s[c].at {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
 	return ev
+}
+
+// waveQueue is a FIFO ring of waves whose requests wait for a
+// clock-domain-crossing token. Its buffer must hold every request that
+// can be in flight at once.
+type waveQueue struct {
+	buf     []*wave
+	head, n int
+}
+
+func (q *waveQueue) push(w *wave) {
+	q.buf[(q.head+q.n)%len(q.buf)] = w
+	q.n++
+}
+
+func (q *waveQueue) pop() *wave {
+	w := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return w
 }
 
 // simd is one SIMD unit with its resident waves.
 type simd struct {
 	waves []*wave
 	next  int // round-robin cursor
+	// blocked counts the waves, in round-robin order from next, known
+	// to be unable to issue: each has no pause left and is at its MLP
+	// cap or only waiting on memory. Only a return to one of them can
+	// change that, so the scan starts past them until a return, an
+	// issue (which moves next) or a retire resets it.
+	blocked int
+	// dirty marks that a resident wave may have become done since the
+	// SIMD was last compacted: its last issue, or a return that took
+	// its outstanding count to zero.
+	dirty bool
+}
+
+// at returns the wave off places after the round-robin cursor, which is
+// always below len(sd.waves).
+func (sd *simd) at(off int) *wave {
+	i := sd.next + off
+	if i >= len(sd.waves) {
+		i -= len(sd.waves)
+	}
+	return sd.waves[i]
+}
+
+// issue advances the round-robin cursor past the wave at off, which has
+// just issued, and forgets the blocked prefix, whose order that moved.
+func (sd *simd) issue(off int) {
+	sd.next += off + 1
+	if sd.next >= len(sd.waves) {
+		sd.next -= len(sd.waves)
+	}
+	sd.blocked = 0
 }
 
 // channel is one memory channel: a queue drained at its service rate.
@@ -227,21 +330,36 @@ func (s *Sim) Run(k *workloads.Kernel, iter int, cfg hw.Config, maxWorkgroups in
 
 	// Dispatch: fill SIMDs with waves up to occupancy; refill as waves
 	// retire. Waves are identical, so dispatch order is immaterial.
+	//
+	// Waves live in an arena sized by the initial dispatch. A SIMD that
+	// is not filled to occupancy then is never refilled (pending is
+	// already 0), so each SIMD owns the slots of its initial waves and a
+	// replacement reuses a retired wave's slot. A retired wave has no
+	// request in flight, so no queue or heap entry still points at it.
 	simds := make([]simd, nSIMD)
 	pending := totalWaves
-	newWave := func() *wave {
-		return &wave{
+	arena := make([]wave, min(totalWaves, nSIMD*occWaves))
+	slots := make([]*wave, len(arena))
+	dispatch := func(w *wave) {
+		*w = wave{
 			valuLeft: valuPerWave,
 			memLeft:  linesPerWave,
 			maxOut:   maxOut,
 			memEvery: memEvery,
+			simd:     w.simd,
 		}
+		pending--
 	}
+	first := 0
 	for i := range simds {
-		for len(simds[i].waves) < occWaves && pending > 0 {
-			simds[i].waves = append(simds[i].waves, newWave())
-			pending--
+		n := min(occWaves, pending)
+		for j := first; j < first+n; j++ {
+			slots[j] = &arena[j]
+			arena[j].simd = i
+			dispatch(&arena[j])
 		}
+		simds[i].waves = slots[first : first+n : first+n]
+		first += n
 	}
 
 	var (
@@ -254,9 +372,12 @@ func (s *Sim) Run(k *workloads.Kernel, iter int, cfg hw.Config, maxWorkgroups in
 		retired       int
 	)
 	// Requests waiting for a clock-domain-crossing token, and the heap
-	// of in-flight requests ordered by completion cycle.
-	var crossQueue []*wave
-	var returns returnHeap
+	// of in-flight requests ordered by completion cycle. A wave never
+	// has more than maxOut requests in flight and a retired wave has
+	// none, so neither ever holds more than one arena's worth of maxOut.
+	inFlight := len(arena) * maxOut
+	crossQueue := waveQueue{buf: make([]*wave, inFlight)}
+	returns := make(returnHeap, 0, inFlight)
 
 	serialCycles := int64(k.SerialCycles)
 
@@ -267,23 +388,27 @@ func (s *Sim) Run(k *workloads.Kernel, iter int, cfg hw.Config, maxWorkgroups in
 			break
 		}
 
-		if len(returns) > 0 || len(crossQueue) > 0 {
+		if len(returns) > 0 || crossQueue.n > 0 {
 			memBusyCycles++
 		}
 
 		// Complete returned memory requests.
 		for len(returns) > 0 && returns[0].at <= now {
-			ev := heap.Pop(&returns).(returnEvent)
-			ev.w.outstanding--
+			w := returns.pop().w
+			w.outstanding--
+			sd := &simds[w.simd]
+			sd.blocked = 0
+			if w.done() {
+				sd.dirty = true
+			}
 		}
 
 		// Replenish crossing tokens and drain the crossing queue into
 		// memory channels.
 		crossTokens += s.P.CrossLinesPerCycle
-		for len(crossQueue) > 0 && crossTokens >= 1 {
+		for crossQueue.n > 0 && crossTokens >= 1 {
 			crossTokens--
-			w := crossQueue[0]
-			crossQueue = crossQueue[1:]
+			w := crossQueue.pop()
 			// Pick the next channel round-robin; its queue delay adds
 			// to the request's return time.
 			ch := &channels[nextChannel]
@@ -291,23 +416,30 @@ func (s *Sim) Run(k *workloads.Kernel, iter int, cfg hw.Config, maxWorkgroups in
 			start := math.Max(float64(now), ch.freeAt)
 			ch.freeAt = start + chCyclesPerLine
 			dramLines++
-			heap.Push(&returns, returnEvent{at: int64(ch.freeAt + latencyCycles), w: w})
+			returns.push(returnEvent{at: int64(ch.freeAt + latencyCycles), w: w})
 		}
 
 		anyResident := false
+		changed := false // some SIMD issued or retired this cycle
+		stalled := int64(0)
+		minPause := math.MaxInt // shortest issue pause left this cycle
 		for si := range simds {
 			sd := &simds[si]
-			if len(sd.waves) == 0 {
+			n := len(sd.waves)
+			if n == 0 {
 				continue
 			}
 			anyResident = true
-			// Round-robin: find an issuable wave.
-			issued := false
-			for off := 0; off < len(sd.waves); off++ {
-				w := sd.waves[(sd.next+off)%len(sd.waves)]
+			// Round-robin: find an issuable wave, past the waves already
+			// known to be blocked.
+			off := sd.blocked
+			for ; off < n; off++ {
+				w := sd.at(off)
 				if w.issuePause > 0 {
+					// The SIMD is occupied, not stalled.
 					w.issuePause--
-					issued = true // the SIMD is occupied, not stalled
+					minPause = min(minPause, w.issuePause)
+					sd.blocked = off
 					break
 				}
 				// Time to send a memory request?
@@ -322,12 +454,12 @@ func (s *Sim) Run(k *workloads.Kernel, iter int, cfg hw.Config, maxWorkgroups in
 						// L2 hit: returns after the hit latency without
 						// touching the crossing or the channels.
 						l2Lines++
-						heap.Push(&returns, returnEvent{at: now + int64(s.P.L2LatencyCycles), w: w})
+						returns.push(returnEvent{at: now + int64(s.P.L2LatencyCycles), w: w})
 					} else {
-						crossQueue = append(crossQueue, w)
+						crossQueue.push(w)
 					}
-					issued = true
-					sd.next = (sd.next + off + 1) % len(sd.waves)
+					sd.issue(off)
+					changed = true
 					break
 				}
 				if w.valuLeft > 0 {
@@ -335,31 +467,82 @@ func (s *Sim) Run(k *workloads.Kernel, iter int, cfg hw.Config, maxWorkgroups in
 					w.sinceMem++
 					w.issuePause = s.P.IssueCyclesPerVALU - 1
 					issueSlots++
-					issued = true
-					sd.next = (sd.next + off + 1) % len(sd.waves)
+					if w.done() {
+						sd.dirty = true
+					}
+					sd.issue(off)
+					changed = true
 					break
 				}
 			}
-			if !issued {
-				stallCycles++
+			if off == n {
+				sd.blocked = n
+				stalled++
 			}
-			// Retire finished waves and refill from the pending pool.
-			live := sd.waves[:0]
-			for _, w := range sd.waves {
+			if !sd.dirty {
+				continue
+			}
+			// Retire finished waves, keeping the live ones in order and
+			// moving the retired slots past the end, then refill those
+			// slots from the pending pool.
+			sd.dirty, changed = false, true
+			live := 0
+			for i, w := range sd.waves {
 				if w.done() {
 					retired++
 					continue
 				}
-				live = append(live, w)
+				sd.waves[live], sd.waves[i] = w, sd.waves[live]
+				live++
 			}
-			sd.waves = live
+			sd.waves = sd.waves[:live]
 			for len(sd.waves) < occWaves && pending > 0 {
-				sd.waves = append(sd.waves, newWave())
-				pending--
+				sd.waves = sd.waves[:len(sd.waves)+1]
+				dispatch(sd.waves[len(sd.waves)-1])
+			}
+			sd.blocked = 0
+			if len(sd.waves) > 0 {
+				sd.next %= len(sd.waves)
 			}
 		}
+		stallCycles += stalled
 		if !anyResident && pending == 0 {
 			break
+		}
+
+		// Quiescent-cycle skip: with nothing issued or retired and the
+		// crossing queue empty, every cycle before the next return or
+		// the end of the shortest issue pause repeats this one exactly.
+		if changed || crossQueue.n > 0 {
+			continue
+		}
+		until := int64(1 << 40)
+		if len(returns) > 0 {
+			until = min(until, returns[0].at-1)
+		}
+		if minPause < math.MaxInt {
+			until = min(until, now+int64(minPause))
+		}
+		skip := until - now
+		if skip <= 0 {
+			continue
+		}
+		now = until
+		// Each SIMD that did not stall counted down the pause of the wave
+		// its scan stopped at.
+		for si := range simds {
+			if sd := &simds[si]; sd.blocked < len(sd.waves) {
+				sd.at(sd.blocked).issuePause -= int(skip)
+			}
+		}
+		stallCycles += skip * stalled
+		if len(returns) > 0 {
+			memBusyCycles += skip
+		}
+		// One add per cycle, as the loop would: with a non-integer rate
+		// a single multiply rounds differently.
+		for range skip {
+			crossTokens += s.P.CrossLinesPerCycle
 		}
 	}
 

@@ -12,7 +12,7 @@ import (
 // grid caps workgroup counts so the cycle-driven runs stay fast.
 const grid = 400
 
-func kernel(t *testing.T, name string) *workloads.Kernel {
+func kernel(t testing.TB, name string) *workloads.Kernel {
 	t.Helper()
 	for _, k := range workloads.AllKernels() {
 		if k.Name == name {
@@ -259,5 +259,50 @@ func TestBresenhamFrequency(t *testing.T) {
 		if never() {
 			t.Fatal("bresenham(0) fired")
 		}
+	}
+}
+
+// memBoundCfg is CoMD.AdvanceVelocity's memory-bound point: full compute
+// with the memory bus at its floor.
+var memBoundCfg = cfg(32, 1000, 475)
+
+// TestRunAllocsIndependentOfRequests shows that Run's allocations are
+// per run, not per wave or memory request: doubling the grid of a
+// memory-bound point doubles its requests but not its allocations.
+func TestRunAllocsIndependentOfRequests(t *testing.T) {
+	s := New()
+	k := kernel(t, "CoMD.AdvanceVelocity")
+	small, large := s.Run(k, 0, memBoundCfg, 100), s.Run(k, 0, memBoundCfg, 200)
+	if large.DRAMBytes < 1.9*small.DRAMBytes {
+		t.Fatalf("cap 200 moved %.0f bytes, cap 100 %.0f: requests did not double",
+			large.DRAMBytes, small.DRAMBytes)
+	}
+	allocs := func(cap int) float64 {
+		return testing.AllocsPerRun(3, func() { s.Run(k, 0, memBoundCfg, cap) })
+	}
+	if a100, a200 := allocs(100), allocs(200); a200 != a100 {
+		t.Errorf("allocations grow with requests: %v at cap 100, %v at cap 200", a100, a200)
+	}
+}
+
+// BenchmarkRun times a compute-bound and a memory-bound point at the
+// validation grid's workgroup cap.
+func BenchmarkRun(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		kernel string
+		cfg    hw.Config
+	}{
+		{"MaxFlops.Main/MaxConfig", "MaxFlops.Main", hw.MaxConfig()},
+		{"CoMD.AdvanceVelocity/mem475", "CoMD.AdvanceVelocity", memBoundCfg},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			k := kernel(b, bc.kernel)
+			s := New()
+			b.ReportAllocs()
+			for b.Loop() {
+				s.Run(k, 0, bc.cfg, 200)
+			}
+		})
 	}
 }

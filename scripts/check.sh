@@ -6,9 +6,9 @@
 # test run, a focused race pass over the concurrent service layer, an
 # observability smoke (the spans endpoint in both formats, the tracing
 # inertness gates, and the debug mux), the hot-path equivalence gates
-# (golden float bits across the gpusim invariant hoisting, budgeted
-# nested parallelism vs serial, allocation-free sweeps, cached vs
-# uncached simulation), a bounded
+# (golden float bits across the gpusim invariant hoisting and the
+# eventsim cycle loop, budgeted nested parallelism vs serial,
+# allocation-free sweeps, cached vs uncached simulation), a bounded
 # chaos-soak of the resilience layer (make soak), and the benchmark
 # gate (simulation-memo speedup, the disabled-tracing overhead cap,
 # the sweep allocation ceiling, and the machine-aware parallel-scaling
@@ -44,9 +44,9 @@ if [ -n "$fixdiff" ]; then
 	exit 1
 fi
 go test -count=1 -run 'TestFixApply|TestFixDiff' ./internal/lint/
-# The full race pass needs explicit headroom: this container is
-# single-CPU and internal/eventsim alone runs close to go test's
-# default 10m per-binary alarm under the race detector.
+# The full race pass keeps explicit headroom over go test's default 10m
+# per-binary alarm: on a 2-CPU Xeon it takes about 6 minutes, of which
+# internal/eventsim, the slowest binary, takes about 5.5.
 go test -race -timeout 30m ./...
 go test -race -count=1 ./internal/serve/... ./internal/telemetry/...
 # Observability smoke: spans endpoint round-trips (native + chrome),
@@ -64,8 +64,10 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # pooled sweep scratch must stay allocation-free at steady state, and
 # the simulation memo (slabs indexed by hw.Config.Index) must return
 # exactly what the uncached model computes, with faulted runs bypassing
-# it.
+# it, and the event-skipping eventsim loop must reproduce every Result
+# field of the per-cycle loop it replaced.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
+go test -count=1 -run 'TestGoldenResultBits' ./internal/eventsim/
 go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 go test -count=1 -run 'TestCachedBitIdenticalToUncached|TestPreparedBitIdenticalToRun' ./internal/simcache/
