@@ -569,7 +569,7 @@ func (s *System) TrainPredictor(kernels []*Kernel) (*Predictor, error) {
 			return nil, fmt.Errorf("%w: %v", ErrTrainingFailed, err)
 		}
 	}
-	p, err := sensitivity.Train(sensitivity.BuildConfigTrainingSet(s.runner(), kernels))
+	p, err := sensitivity.TrainConfigs(s.runner(), kernels, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTrainingFailed, err)
 	}

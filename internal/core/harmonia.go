@@ -275,6 +275,10 @@ type Controller struct {
 	// record. Tracing never feeds back into decisions.
 	tracer *trace.Recorder
 	span   *trace.Span
+
+	// scratch is the outlier test's working buffer (medianMAD); the
+	// controller is single-goroutine, so one buffer serves every call.
+	scratch []float64
 }
 
 // maxLogEntries bounds the decision log so long sessions cannot grow it
@@ -717,31 +721,35 @@ func (c *Controller) isOutlier(st *kernelState, res gpusim.Result) bool {
 	}
 	r := c.opts.Robust
 	exceeds := func(hist []float64, v float64) bool {
-		med := median(hist)
-		thr := math.Max(r.OutlierK*mad(hist, med), r.OutlierFloor)
+		med, mad := c.medianMAD(hist)
+		thr := math.Max(r.OutlierK*mad, r.OutlierFloor)
 		return math.Abs(v-med) > thr
 	}
 	return exceeds(w.vb, res.Counters.VALUBusy) || exceeds(w.mb, res.Counters.MemUnitBusy)
 }
 
-// median returns the median of xs (not modifying it).
-func median(xs []float64) float64 {
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
+// medianMAD returns the median of xs and the median absolute deviation
+// of xs about it, without modifying xs. It works in the controller's
+// scratch buffer, so it allocates only when a history outgrows it.
+func (c *Controller) medianMAD(xs []float64) (med, mad float64) {
+	buf := append(c.scratch[:0], xs...)
+	med = sortedMedian(buf)
+	for i, x := range xs {
+		buf[i] = math.Abs(x - med)
 	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
+	mad = sortedMedian(buf)
+	c.scratch = buf
+	return med, mad
 }
 
-// mad returns the median absolute deviation of xs about med.
-func mad(xs []float64, med float64) float64 {
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
+// sortedMedian sorts xs in place and returns its median.
+func sortedMedian(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
 	}
-	return median(dev)
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // binsFor predicts sensitivity bins from a (smoothed) counter sample,

@@ -158,10 +158,22 @@ func (s Set) ComputeFeatures() []float64 {
 	return []float64{s.CToMIntensity(), s.NormVGPR, s.NormSGPR}
 }
 
+// NumExtendedFeatures is the length of ExtendedFeatures.
+const NumExtendedFeatures = 14
+
 // ExtendedFeatures extracts the per-tunable compute-model feature vector
 // in the order of ExtendedFeatureNames.
 func (s Set) ExtendedFeatures() []float64 {
-	return append(s.BandwidthFeatures(),
+	return s.AppendExtendedFeatures(make([]float64, 0, NumExtendedFeatures))
+}
+
+// AppendExtendedFeatures appends the ExtendedFeatures vector to dst and
+// returns the extended slice; it allocates only when dst lacks room.
+// The first seven values are the BandwidthFeatures vector.
+func (s Set) AppendExtendedFeatures(dst []float64) []float64 {
+	return append(dst,
+		s.VALUUtilization, s.WriteUnitStalled, s.MemUnitBusy,
+		s.MemUnitStalled, s.ICActivity, s.NormVGPR, s.NormSGPR,
 		s.CToMIntensity(), s.VALUBusy, s.Occupancy,
 		s.NormCUsActive, s.NormCUClock, s.NormMemClock,
 		s.DivergenceImpact())

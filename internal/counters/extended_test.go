@@ -32,6 +32,27 @@ func TestExtendedFeaturesMatchNames(t *testing.T) {
 	}
 }
 
+// featureSink makes the vector escape, as it does in a prediction.
+var featureSink []float64
+
+// ExtendedFeatures is on every CU and CU-frequency prediction: one
+// allocation, the returned vector; AppendExtendedFeatures into a slice
+// with room makes none.
+func TestExtendedFeaturesAllocs(t *testing.T) {
+	s := validSet()
+	if got := testing.AllocsPerRun(100, func() { featureSink = s.ExtendedFeatures() }); got != 1 {
+		t.Errorf("ExtendedFeatures allocates %v times, want 1", got)
+	}
+	buf := make([]float64, 0, NumExtendedFeatures)
+	if got := testing.AllocsPerRun(100, func() { buf = s.AppendExtendedFeatures(buf[:0]) }); got != 0 {
+		t.Errorf("AppendExtendedFeatures allocates %v times, want 0", got)
+	}
+	if len(buf) != NumExtendedFeatures || len(ExtendedFeatureNames()) != NumExtendedFeatures {
+		t.Errorf("%d features, %d names, NumExtendedFeatures %d",
+			len(buf), len(ExtendedFeatureNames()), NumExtendedFeatures)
+	}
+}
+
 func TestDivergenceImpact(t *testing.T) {
 	// 40% divergence at 50% VALU busyness -> impact 20.
 	s := Set{VALUUtilization: 60, VALUBusy: 50}

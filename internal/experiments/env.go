@@ -74,8 +74,7 @@ func (e *Env) Runner() gpusim.Runner {
 // on first use exactly as DefaultPredictor does.
 func (e *Env) Predictor() *sensitivity.Predictor {
 	e.predOnce.Do(func() {
-		p, err := sensitivity.Train(
-			sensitivity.BuildConfigTrainingSetN(e.Runner(), workloads.AllKernels(), e.Workers))
+		p, err := sensitivity.TrainConfigs(e.Runner(), workloads.AllKernels(), e.Workers)
 		if err != nil {
 			panic(err) // fixed known-good training set; see DefaultPredictor
 		}

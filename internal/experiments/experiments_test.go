@@ -9,6 +9,8 @@ import (
 
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
+	"harmonia/internal/sensitivity"
+	"harmonia/internal/workloads"
 )
 
 // One Env for the whole test binary: predictor training and the
@@ -305,9 +307,13 @@ func TestTable3ModelQuality(t *testing.T) {
 		t.Errorf("MAE = %.3f/%.3f (paper: 0.0303/0.0571)",
 			r.Accuracy.BandwidthMAE, r.Accuracy.ComputeMAE)
 	}
-	// Training scale comparable to the paper's 11250 vectors.
+	// Training scale comparable to the paper's 11250 vectors, counted
+	// without building the rows: it must be the length of the row set.
 	if r.TrainingPoints < 5000 {
 		t.Errorf("training rows = %d, want thousands", r.TrainingPoints)
+	}
+	if n := len(sensitivity.BuildConfigTrainingSet(env(t).Runner(), workloads.AllKernels())); r.TrainingPoints != n {
+		t.Errorf("training rows = %d, BuildConfigTrainingSet has %d", r.TrainingPoints, n)
 	}
 	if len(r.Paper.Bandwidth.Coeffs) != 7 {
 		t.Error("paper reference model missing")

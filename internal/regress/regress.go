@@ -6,7 +6,9 @@
 //
 // The solver uses the normal equations with ridge-stabilized Gaussian
 // elimination, which is plenty for the small, well-conditioned design
-// matrices involved (a handful of counters over ~2000 training rows).
+// matrices involved (at most 14 counters over ~15 000 training rows).
+// The normal equations accumulate in a Gram, which serves several
+// targets and any column subset from one pass over the rows.
 package regress
 
 import (
@@ -69,7 +71,8 @@ var ErrBadShape = errors.New("regress: need at least one more observation than f
 
 // Fit performs ordinary least squares of y on the rows of X (one row per
 // observation, one column per feature), with an intercept term. A tiny
-// ridge term stabilizes nearly collinear designs.
+// ridge term stabilizes nearly collinear designs. It is a Gram over the
+// rows, solved for every column, scored on the training data.
 func Fit(X [][]float64, y []float64, names []string) (*Model, error) {
 	n := len(X)
 	if n == 0 || n != len(y) {
@@ -85,50 +88,132 @@ func Fit(X [][]float64, y []float64, names []string) (*Model, error) {
 		}
 	}
 
-	// Build the augmented design matrix A = [1 | X] and solve the normal
-	// equations (AᵀA + λI)β = Aᵀy.
-	k := p + 1
-	ata := make([][]float64, k)
-	for i := range ata {
-		ata[i] = make([]float64, k)
+	g := NewGram(p, 1)
+	for r := range X {
+		g.Add(X[r], y[r:r+1])
 	}
-	aty := make([]float64, k)
-	row := make([]float64, k)
-	for r := 0; r < n; r++ {
-		row[0] = 1
-		copy(row[1:], X[r])
-		for i := 0; i < k; i++ {
-			aty[i] += row[i] * y[r]
-			for j := i; j < k; j++ {
-				ata[i][j] += row[i] * row[j]
-			}
-		}
+	cols := make([]int, p)
+	for i := range cols {
+		cols[i] = i
 	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < i; j++ {
-			ata[i][j] = ata[j][i]
-		}
-	}
-	const ridge = 1e-9
-	for i := 1; i < k; i++ { // do not penalize the intercept
-		ata[i][i] += ridge * float64(n)
-	}
-
-	beta, err := solve(ata, aty)
+	m, err := g.Solve(cols, 0, names)
 	if err != nil {
 		return nil, err
 	}
-
-	m := &Model{Intercept: beta[0], Coeffs: beta[1:], Names: names}
 
 	// Training-set quality.
 	fitted := make([]float64, n)
 	for r := 0; r < n; r++ {
 		fitted[r] = m.eval(X[r])
 	}
-	m.R2 = rSquared(y, fitted)
-	m.Corr = Pearson(y, fitted)
+	m.R2, m.Corr = Quality(y, fitted)
 	return m, nil
+}
+
+// Gram accumulates the normal equations of the intercept-augmented
+// design A = [1 | X] for several targets at once: the upper triangle of
+// AᵀA, shared by every target, and one Aᵀy per target. Any model over a
+// subset of X's columns is a sub-block of the same sums, so one pass over
+// the rows serves every model fitted from it (Solve). A Gram is not safe
+// for concurrent use.
+type Gram struct {
+	k   int       // columns of A: features + 1
+	n   int       // rows added
+	ata []float64 // k×k, row-major; only the upper triangle is filled
+	aty []float64 // targets×k: Aᵀy of target t at [t*k, (t+1)*k)
+	row []float64 // the augmented row being added
+}
+
+// NewGram returns an empty Gram for rows of p features and the given
+// number of targets.
+func NewGram(p, targets int) *Gram {
+	k := p + 1
+	return &Gram{
+		k:   k,
+		ata: make([]float64, k*k),
+		aty: make([]float64, targets*k),
+		row: make([]float64, k),
+	}
+}
+
+// Add folds one observation into the sums: x holds its p features and ys
+// one value per target. It does not allocate. A row of the wrong shape is
+// a programming error and panics.
+func (g *Gram) Add(x, ys []float64) {
+	k := g.k
+	if len(x) != k-1 || len(ys)*k != len(g.aty) {
+		panic(fmt.Sprintf("regress: Gram.Add with %d features and %d targets, want %d and %d",
+			len(x), len(ys), k-1, len(g.aty)/k))
+	}
+	row := g.row
+	row[0] = 1
+	copy(row[1:], x)
+	for t, y := range ys {
+		aty := g.aty[t*k : (t+1)*k]
+		for i, v := range row {
+			aty[i] += v * y
+		}
+	}
+	for i, vi := range row {
+		ata := g.ata[i*k : (i+1)*k]
+		for j := i; j < k; j++ {
+			ata[j] += vi * row[j]
+		}
+	}
+	g.n++
+}
+
+// Solve fits target on the feature columns cols (indices into the rows
+// passed to Add, in the order the model's coefficients take; they may be
+// any subset in any order) plus the intercept. The same ridge term Fit
+// applies is added to the diagonal. The returned model has no training
+// quality: its R2 and Corr are left for the caller to score.
+func (g *Gram) Solve(cols []int, target int, names []string) (*Model, error) {
+	k := len(cols) + 1
+	if g.n <= len(cols) {
+		return nil, ErrBadShape
+	}
+	// aug maps a sub-block index to its column of A.
+	aug := make([]int, k)
+	for i, c := range cols {
+		aug[i+1] = c + 1
+	}
+	ata := make([][]float64, k)
+	aty := make([]float64, k)
+	for i, ai := range aug {
+		ata[i] = make([]float64, k)
+		for j, aj := range aug {
+			ata[i][j] = g.ata[min(ai, aj)*g.k+max(ai, aj)]
+		}
+		aty[i] = g.aty[target*g.k+ai]
+	}
+	const ridge = 1e-9
+	for i := 1; i < k; i++ { // do not penalize the intercept
+		ata[i][i] += ridge * float64(g.n)
+	}
+
+	beta, err := solve(ata, aty)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{Intercept: beta[0], Coeffs: beta[1:], Names: names}, nil
+}
+
+// EvalCols evaluates the model on the columns cols of a wider row, cols
+// being the column list the model was solved for.
+func (m *Model) EvalCols(row []float64, cols []int) float64 {
+	y := m.Intercept
+	for i, c := range m.Coeffs {
+		y += c * row[cols[i]]
+	}
+	return y
+}
+
+// Quality returns the training-set quality of fitted values against the
+// observed y: the coefficient of determination and the Pearson
+// correlation (Model.R2 and Model.Corr).
+func Quality(y, fitted []float64) (r2, corr float64) {
+	return rSquared(y, fitted), Pearson(y, fitted)
 }
 
 // solve performs Gaussian elimination with partial pivoting on a copy of

@@ -267,7 +267,8 @@ func BuildTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPo
 
 // BuildConfigTrainingSet measures every kernel at every hardware
 // configuration, keeping one training row per (kernel, configuration)
-// pair — about 26 x 448 = 11648 rows, matching the scale of the paper's
+// pair, and per iteration phase for phase-varying kernels — 14784 rows
+// for the 26-kernel suite (25 x 448 + 8 x 448), the scale of the paper's
 // 11250 raw counter vectors (Section 4.2) before its averaging step. The
 // paper could collapse configurations because its hardware counters
 // varied little across them; on this platform the time-fraction counters
@@ -275,6 +276,8 @@ func BuildTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPo
 // configuration, so keeping per-configuration rows is what makes runtime
 // predictions — taken at whatever configuration the kernel last ran at —
 // in-distribution. This substitution is recorded in DESIGN.md.
+//
+// TrainConfigs fits the same rows without materializing them.
 func BuildConfigTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPoint {
 	return BuildConfigTrainingSetN(m, kernels, 0)
 }
@@ -287,40 +290,66 @@ func BuildConfigTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []Trai
 // GOMAXPROCS, 1 forces serial execution.
 func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, workers int) []TrainingPoint {
 	space := hw.ConfigSpace()
-	// Training-set construction is deliberately uncancelable: it is the
-	// one-time memoized sweep behind every predictor, bit-identical by
-	// construction, and its callers (lazy sync.Once paths included) gate
-	// cancellation at the run level instead.
-	//lint:ignore ctxflow the training sweep is a one-time memoized computation with no caller ctx to thread
-	ctx := context.Background()
-	//lint:ignore errdrop kernelConfigRows never errors and the background context is never canceled
-	perKernel, _ := batch.Map(ctx, workers, kernels,
-		func(_ context.Context, _ int, k *workloads.Kernel) ([]TrainingPoint, error) {
-			return kernelConfigRows(m, k, space), nil
+	perKernel := mapKernels(kernels, workers, func(k *workloads.Kernel) []TrainingPoint {
+		truth := Measure(m, k)
+		rows := make([]TrainingPoint, 0, kernelIters(k)*len(space))
+		sweepKernel(m, k, space, func(cs counters.Set) {
+			rows = append(rows, TrainingPoint{Kernel: k.Name, Features: cs, Truth: truth})
 		})
-	points := make([]TrainingPoint, 0, len(kernels)*len(space))
+		return rows
+	})
+	points := make([]TrainingPoint, 0, ConfigTrainingRows(kernels))
 	for _, rows := range perKernel {
 		points = append(points, rows...)
 	}
 	return points
 }
 
-// kernelConfigRows generates one kernel's training rows across the
-// configuration space.
-func kernelConfigRows(m gpusim.Runner, k *workloads.Kernel, space []hw.Config) []TrainingPoint {
-	truth := Measure(m, k)
-	// A phase-stable kernel contributes one row per configuration;
-	// phase-varying kernels contribute one per iteration phase, so that
-	// runtime samples taken during any phase are in-distribution.
-	iters := 1
-	if k.Phases != nil {
-		iters = measureIters
+// ConfigTrainingRows returns the number of rows BuildConfigTrainingSet
+// yields for kernels, without simulating any: one per configuration,
+// times the iteration phases of a phase-varying kernel.
+func ConfigTrainingRows(kernels []*workloads.Kernel) int {
+	n := 0
+	for _, k := range kernels {
+		n += kernelIters(k)
 	}
+	return n * len(hw.ConfigSpace())
+}
+
+// kernelIters is how many training rows a kernel contributes per
+// configuration. A phase-stable kernel contributes one; a phase-varying
+// kernel contributes one per iteration phase, so that runtime samples
+// taken during any phase are in-distribution.
+func kernelIters(k *workloads.Kernel) int {
+	if k.Phases != nil {
+		return measureIters
+	}
+	return 1
+}
+
+// mapKernels calls job once per kernel on a bounded worker pool and
+// returns the results in kernel order.
+func mapKernels[T any](kernels []*workloads.Kernel, workers int, job func(*workloads.Kernel) T) []T {
+	// Training-set construction is deliberately uncancelable: it is the
+	// one-time memoized sweep behind every predictor, bit-identical by
+	// construction, and its callers (lazy sync.Once paths included) gate
+	// cancellation at the run level instead.
+	//lint:ignore ctxflow the training sweep is a one-time memoized computation with no caller ctx to thread
+	ctx := context.Background()
+	//lint:ignore errdrop the training jobs never error and the background context is never canceled
+	out, _ := batch.Map(ctx, workers, kernels,
+		func(_ context.Context, _ int, k *workloads.Kernel) (T, error) { return job(k), nil })
+	return out
+}
+
+// sweepKernel simulates k's training rows across space and passes each
+// row's counters to row, configuration-outer and iteration-inner: the
+// row order the fitted predictor's bit-identity depends on.
+func sweepKernel(m gpusim.Runner, k *workloads.Kernel, space []hw.Config, row func(counters.Set)) {
+	iters := kernelIters(k)
 	// Hoist the per-iteration invariant work (and the memo slab lookup,
-	// when m is a cache) out of the configuration loop. The
-	// row order — configuration-outer, iteration-inner — is what the
-	// fitted predictor's bit-identity depends on, so only the per-call
-	// evaluation changes, never the loop structure.
+	// when m is a cache) out of the configuration loop; only the
+	// per-call evaluation changes, never the loop structure.
 	run := func(iter int, cfg hw.Config) gpusim.Result { return m.Run(k, iter, cfg) }
 	if pr, ok := m.(gpusim.PreparedRunner); ok {
 		prepared := make([]func(hw.Config) gpusim.Result, iters)
@@ -329,55 +358,118 @@ func kernelConfigRows(m gpusim.Runner, k *workloads.Kernel, space []hw.Config) [
 		}
 		run = func(iter int, cfg hw.Config) gpusim.Result { return prepared[iter](cfg) }
 	}
-	rows := make([]TrainingPoint, 0, iters*len(space))
 	for _, cfg := range space {
 		for i := 0; i < iters; i++ {
-			rows = append(rows, TrainingPoint{
-				Kernel:   k.Name,
-				Features: run(i, cfg).Counters,
-				Truth:    truth,
-			})
+			row(run(i, cfg).Counters)
 		}
 	}
-	return rows
+}
+
+// The training layout: every row is a counters.Set's ExtendedFeatures
+// vector, and each model of the Predictor fits a subset of its columns.
+// Every model reads the same rows, so one Gram over them serves all four.
+var (
+	// bandwidthCols is the BandwidthFeatures prefix.
+	bandwidthCols = []int{0, 1, 2, 3, 4, 5, 6}
+	// computeCols is the ComputeFeatures order: C-to-M intensity,
+	// NormVGPR, NormSGPR.
+	computeCols = []int{7, 5, 6}
+	// extendedCols is every column.
+	extendedCols = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+)
+
+// rowBlock is a run of training rows sharing one ground truth: x holds
+// the rows' ExtendedFeatures vectors back to back.
+type rowBlock struct {
+	x     []float64
+	truth Measurement
+}
+
+// targets returns the four models' training targets, in the order of
+// fitBlocks' models.
+func (m Measurement) targets() [4]float64 {
+	return [4]float64{m.Bandwidth, m.Compute, m.CUs, m.CUFreq}
+}
+
+// TrainConfigs trains the predictor on the per-configuration rows of
+// BuildConfigTrainingSetN(m, kernels, workers), bit for bit, without
+// building them: each kernel's counters go straight into one flat block
+// (one job per kernel on the batch pool), and the blocks are folded into
+// the normal equations in kernel order.
+func TrainConfigs(m gpusim.Runner, kernels []*workloads.Kernel, workers int) (*Predictor, error) {
+	space := hw.ConfigSpace()
+	blocks := mapKernels(kernels, workers, func(k *workloads.Kernel) rowBlock {
+		truth := Measure(m, k)
+		x := make([]float64, 0, kernelIters(k)*len(space)*counters.NumExtendedFeatures)
+		sweepKernel(m, k, space, func(cs counters.Set) { x = cs.AppendExtendedFeatures(x) })
+		return rowBlock{x: x, truth: truth}
+	})
+	return fitBlocks(blocks)
 }
 
 // Train fits the four linear sensitivity models on the training set
-// (Section 4.3).
+// (Section 4.3), exactly as TrainConfigs fits the rows it streams.
 func Train(points []TrainingPoint) (*Predictor, error) {
-	if len(points) == 0 {
+	const w = counters.NumExtendedFeatures
+	x := make([]float64, 0, len(points)*w)
+	blocks := make([]rowBlock, len(points))
+	for i, pt := range points {
+		x = pt.Features.AppendExtendedFeatures(x)
+		blocks[i] = rowBlock{x: x[i*w : (i+1)*w], truth: pt.Truth}
+	}
+	return fitBlocks(blocks)
+}
+
+// fitBlocks fits the Predictor's four models on the rows of blocks, in
+// order: one pass accumulates a Gram with the four targets, each model
+// solves its column subset of it, and a second pass scores each model on
+// the rows. Every sum is the one a separate regress.Fit per model would
+// form, in the same row order, so the models are bit-identical to it.
+func fitBlocks(blocks []rowBlock) (*Predictor, error) {
+	const w = counters.NumExtendedFeatures
+	n := 0
+	for _, b := range blocks {
+		n += len(b.x) / w
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("sensitivity: empty training set")
 	}
-	bwX := make([][]float64, len(points))
-	compX := make([][]float64, len(points))
-	extX := make([][]float64, len(points))
-	var bwY, compY, cuY, cufY []float64
-	for i, pt := range points {
-		bwX[i] = pt.Features.BandwidthFeatures()
-		compX[i] = pt.Features.ComputeFeatures()
-		extX[i] = pt.Features.ExtendedFeatures()
-		bwY = append(bwY, pt.Truth.Bandwidth)
-		compY = append(compY, pt.Truth.Compute)
-		cuY = append(cuY, pt.Truth.CUs)
-		cufY = append(cufY, pt.Truth.CUFreq)
+	g := regress.NewGram(w, 4)
+	for _, b := range blocks {
+		ys := b.truth.targets()
+		for r := 0; r < len(b.x); r += w {
+			g.Add(b.x[r:r+w], ys[:])
+		}
 	}
-	bw, err := regress.Fit(bwX, bwY, counters.BandwidthFeatureNames())
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: bandwidth model: %w", err)
+	models := [4]struct {
+		what  string
+		cols  []int
+		names []string
+	}{
+		{"bandwidth", bandwidthCols, counters.BandwidthFeatureNames()},
+		{"compute", computeCols, counters.ComputeFeatureNames()},
+		{"CU", extendedCols, counters.ExtendedFeatureNames()},
+		{"CU-frequency", extendedCols, counters.ExtendedFeatureNames()},
 	}
-	comp, err := regress.Fit(compX, compY, counters.ComputeFeatureNames())
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: compute model: %w", err)
+	var fitted [4]*regress.Model
+	y, f := make([]float64, 0, n), make([]float64, 0, n)
+	for t, spec := range models {
+		m, err := g.Solve(spec.cols, t, spec.names)
+		if err != nil {
+			return nil, fmt.Errorf("sensitivity: %s model: %w", spec.what, err)
+		}
+		y, f = y[:0], f[:0]
+		for _, b := range blocks {
+			truth := b.truth.targets()[t]
+			for r := 0; r < len(b.x); r += w {
+				y = append(y, truth)
+				f = append(f, m.EvalCols(b.x[r:r+w], spec.cols))
+			}
+		}
+		m.R2, m.Corr = regress.Quality(y, f)
+		fitted[t] = m
 	}
-	cus, err := regress.Fit(extX, cuY, counters.ExtendedFeatureNames())
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: CU model: %w", err)
-	}
-	cuf, err := regress.Fit(extX, cufY, counters.ExtendedFeatureNames())
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: CU-frequency model: %w", err)
-	}
-	return &Predictor{Bandwidth: bw, Compute: comp, CUs: cus, CUFreq: cuf}, nil
+	return &Predictor{Bandwidth: fitted[0], Compute: fitted[1], CUs: fitted[2], CUFreq: fitted[3]}, nil
 }
 
 // Accuracy reports mean absolute prediction error for the bandwidth and
@@ -416,7 +508,7 @@ func Evaluate(p *Predictor, points []TrainingPoint) Accuracy {
 // runtime predictions are in-distribution at any operating point,
 // returning any training failure as an error.
 func TrainDefault() (*Predictor, error) {
-	return Train(BuildConfigTrainingSet(gpusim.Default(), workloads.AllKernels()))
+	return TrainConfigs(gpusim.Default(), workloads.AllKernels(), 0)
 }
 
 // DefaultPredictor is TrainDefault for callers that cannot propagate an

@@ -262,6 +262,9 @@ func TestTrainEmptySet(t *testing.T) {
 	if _, err := Train(nil); err == nil {
 		t.Error("training on empty set should fail")
 	}
+	if _, err := TrainConfigs(gpusim.Default(), nil, 1); err == nil {
+		t.Error("training on no kernels should fail")
+	}
 }
 
 func TestTrainingSetShape(t *testing.T) {

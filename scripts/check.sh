@@ -6,8 +6,9 @@
 # test run, a focused race pass over the concurrent service layer, an
 # observability smoke (the spans endpoint in both formats, the tracing
 # inertness gates, and the debug mux), the hot-path equivalence gates
-# (golden float bits across the gpusim invariant hoisting and the
-# eventsim cycle loop, budgeted nested parallelism vs serial,
+# (golden float bits across the gpusim invariant hoisting, the
+# eventsim cycle loop and predictor training, budgeted nested
+# parallelism vs serial,
 # allocation-free sweeps, cached vs uncached simulation), a bounded
 # chaos-soak of the resilience layer (make soak), and the benchmark
 # gate (simulation-memo speedup, the disabled-tracing overhead cap,
@@ -64,10 +65,14 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # pooled sweep scratch must stay allocation-free at steady state, and
 # the simulation memo (slabs indexed by hw.Config.Index) must return
 # exactly what the uncached model computes, with faulted runs bypassing
-# it, and the event-skipping eventsim loop must reproduce every Result
-# field of the per-cycle loop it replaced.
+# it, the event-skipping eventsim loop must reproduce every Result
+# field of the per-cycle loop it replaced, and predictor training on one
+# shared Gram must reproduce the per-model fits' golden bits and equal
+# Train over the materialized rows, with Gram.Add allocation-free.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
 go test -count=1 -run 'TestGoldenResultBits' ./internal/eventsim/
+go test -count=1 -run 'TestGoldenPredictorBits|TestTrainConfigsBitIdenticalToTrain' ./internal/sensitivity/
+go test -count=1 -run 'TestSolveMatchesFitOnProjectedRows|TestGramAddAllocationFree' ./internal/regress/
 go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 go test -count=1 -run 'TestCachedBitIdenticalToUncached|TestPreparedBitIdenticalToRun' ./internal/simcache/
