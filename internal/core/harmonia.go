@@ -295,7 +295,7 @@ func (c *Controller) record(a Action) {
 	// puts the decision's outcome on the span of the Observe in flight.
 	if sp := c.span; sp != nil {
 		sp.Attr("action", a.Kind.String()).
-			Attr("bins", a.Bins.CUs.String()+"/"+a.Bins.CUFreq.String()+"/"+a.Bins.MemFreq.String()).
+			Attr("bins", binsName(a.Bins)).
 			Attr("from", a.From.String()).
 			Attr("to", a.To.String()).
 			Float("proxy", a.Proxy)
@@ -306,6 +306,34 @@ func (c *Controller) record(a Action) {
 	}
 	c.log = append(c.log, a)
 }
+
+// binsName renders a classification as the decision span's "bins"
+// attribute, e.g. "HIGH/MED/LOW". The 27 in-range classifications come
+// from a table built once, so annotating a traced decision does not
+// concatenate; out-of-range bins are formatted.
+func binsName(b sensitivity.Bins) string {
+	if binInRange(b.CUs) && binInRange(b.CUFreq) && binInRange(b.MemFreq) {
+		return binsNames[(b.CUs*3+b.CUFreq)*3+b.MemFreq]
+	}
+	return formatBins(b)
+}
+
+func binInRange(b sensitivity.Bin) bool { return b >= sensitivity.Low && b <= sensitivity.High }
+
+func formatBins(b sensitivity.Bins) string {
+	return b.CUs.String() + "/" + b.CUFreq.String() + "/" + b.MemFreq.String()
+}
+
+// binsNames holds formatBins of every in-range classification, indexed
+// by (CUs*3 + CUFreq)*3 + MemFreq.
+var binsNames = func() (names [27]string) {
+	for i := range names {
+		names[i] = formatBins(sensitivity.Bins{
+			CUs: sensitivity.Bin(i / 9), CUFreq: sensitivity.Bin(i / 3 % 3), MemFreq: sensitivity.Bin(i % 3),
+		})
+	}
+	return names
+}()
 
 // kernelState is the per-kernel controller memory (Section 5.1: "use each
 // kernel's historical data from previous iterations to predict hardware
@@ -486,9 +514,9 @@ func (c *Controller) TimelineDecision(kernel string, _ int) (timeline.Detail, bo
 func (c *Controller) Observe(kernel string, iter int, res gpusim.Result) {
 	sp := c.tracer.StartAmbient("decision")
 	// The sp != nil guard is about the disabled path's cost, not safety:
-	// span methods are nil-safe, but argument expressions like
-	// Config.String() would still run (and allocate) on every untraced
-	// Observe.
+	// span methods are nil-safe, but the float attributes would still be
+	// formatted (and allocate) on every untraced Observe, as would the
+	// name of an off-grid config; grid config names come from a table.
 	if sp != nil {
 		sp.Attr("kernel", kernel).
 			Attr("config", res.Config.String()).

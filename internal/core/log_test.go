@@ -5,6 +5,7 @@ import (
 
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
+	"harmonia/internal/sensitivity"
 )
 
 func TestDecisionLogRecordsEveryBoundary(t *testing.T) {
@@ -100,4 +101,40 @@ func TestFreezeAppearsInLogForDitheringTunable(t *testing.T) {
 		t.Error("no freeze action logged for a dithering kernel")
 	}
 	_ = hw.MaxConfig()
+}
+
+// TestBinsNameTable pins the decision span's table-backed "bins"
+// attribute to the concatenation it replaced, for every in-range
+// classification and off it, and holds the in-range path
+// allocation-free.
+func TestBinsNameTable(t *testing.T) {
+	concat := func(b sensitivity.Bins) string {
+		return b.CUs.String() + "/" + b.CUFreq.String() + "/" + b.MemFreq.String()
+	}
+	all := []sensitivity.Bin{sensitivity.Low, sensitivity.Med, sensitivity.High}
+	var grid []sensitivity.Bins
+	for _, c := range all {
+		for _, f := range all {
+			for _, m := range all {
+				grid = append(grid, sensitivity.Bins{CUs: c, CUFreq: f, MemFreq: m})
+			}
+		}
+	}
+	for _, b := range append(grid,
+		sensitivity.Bins{CUs: 3},
+		sensitivity.Bins{CUFreq: -1},
+		sensitivity.Bins{CUs: sensitivity.High, MemFreq: 7}) {
+		if got, want := binsName(b), concat(b); got != want {
+			t.Errorf("binsName(%+v) = %q, want %q", b, got, want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range grid {
+			sink = binsName(b)
+		}
+	}); n != 0 {
+		t.Errorf("in-range binsName allocates %.1f times per pass, want 0", n)
+	}
+	_ = sink
 }

@@ -209,9 +209,30 @@ func (c Config) OpsPerByte() float64 {
 	return c.Compute.PeakGOPS() / c.Memory.BandwidthGBs()
 }
 
+// String names the configuration, e.g. "32CU@1000MHz/mem@1375MHz(264GB/s)".
+// Grid configurations read their name from a table built once at init,
+// so the per-boundary span and log annotations that name configurations
+// do not format or allocate; off-grid configurations are formatted.
 func (c Config) String() string {
+	if i, ok := c.Index(); ok {
+		return configNames[i]
+	}
+	return c.format()
+}
+
+// format is the formatter behind String and its name table.
+func (c Config) format() string {
 	return c.Compute.String() + "/" + c.Memory.String()
 }
+
+// configNames holds format() of every grid configuration, indexed by
+// Config.Index.
+var configNames = func() (names [SpaceSize]string) {
+	for i, c := range ConfigSpace() {
+		names[i] = c.format()
+	}
+	return names
+}()
 
 // MinConfig returns the minimum hardware configuration the paper
 // normalizes against (4 CUs, 300 MHz compute, 90 GB/s memory).

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -275,4 +276,43 @@ func TestStringFormats(t *testing.T) {
 	if got := TunableMemFreq.String(); got != "MemFreq" {
 		t.Errorf("Tunable.String() = %q", got)
 	}
+}
+
+// TestConfigStringTable pins the table-backed Config.String to the
+// formatter it replaced, byte for byte, on the whole grid and off it,
+// and holds the grid path allocation-free.
+func TestConfigStringTable(t *testing.T) {
+	formatted := func(c Config) string {
+		return fmt.Sprintf("%dCU@%dMHz/mem@%dMHz(%.0fGB/s)",
+			c.Compute.CUs, int(c.Compute.Freq), int(c.Memory.BusFreq), c.Memory.BandwidthGBs())
+	}
+	space := ConfigSpace()
+	for _, c := range space {
+		if got, want := c.String(), formatted(c); got != want {
+			t.Errorf("%+v.String() = %q, want %q", c, got, want)
+		}
+	}
+	for _, c := range []Config{
+		{},
+		{Compute: ComputeConfig{CUs: 33, Freq: MaxCUFreq}, Memory: MemConfig{BusFreq: MaxMemFreq}},
+		{Compute: ComputeConfig{CUs: MinCUs, Freq: 1050}, Memory: MemConfig{BusFreq: MinMemFreq}},
+		{Compute: ComputeConfig{CUs: 16, Freq: 700}, Memory: MemConfig{BusFreq: 500}},
+		{Compute: ComputeConfig{CUs: -4, Freq: -300}, Memory: MemConfig{BusFreq: -475}},
+	} {
+		if _, ok := c.Index(); ok {
+			t.Fatalf("%+v is on the grid; the off-grid cases need off-grid configs", c)
+		}
+		if got, want := c.String(), formatted(c); got != want {
+			t.Errorf("off-grid %+v.String() = %q, want %q", c, got, want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() {
+		for _, c := range space {
+			sink = c.String()
+		}
+	}); n != 0 {
+		t.Errorf("grid Config.String allocates %.1f times per sweep, want 0", n)
+	}
+	_ = sink
 }

@@ -195,7 +195,9 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	recordSources := o.sources != nil
 	o.mu.Unlock()
 	// sp != nil guards below keep the untraced path free of the
-	// allocation the Config.String() arguments would otherwise cost.
+	// allocations the attribute arguments would otherwise cost: the
+	// formatted iteration, and the name of an off-grid config
+	// (Config.String() serves grid names from a table).
 	sp := tracer.StartAmbient("oracle.decide")
 	if sp != nil {
 		sp.Attr("kernel", kernel).Int("iter", int64(iter))

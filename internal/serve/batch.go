@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,36 +35,16 @@ type Batch struct {
 	createdAt  time.Time
 	finishedAt time.Time
 
+	// slot places the batch in its registry's retention queues; guarded
+	// by the registry's lock.
+	slot *retained[*Batch]
+
 	done chan struct{}
 }
 
 // Done returns a channel closed when every cell has reached a terminal
 // state.
 func (b *Batch) Done() <-chan struct{} { return b.done }
-
-// watch waits for all child runs, stamps the batch finished, and
-// reports completion (the server journals it). It runs on its own
-// goroutine, started at creation and tracked by the registry's
-// WaitGroup so shutdown can prove no watcher leaked.
-func (b *Batch) watch(now func() time.Time, onDone func(*Batch)) {
-	for _, run := range b.cells {
-		<-run.Done()
-	}
-	b.mu.Lock()
-	b.finishedAt = now()
-	b.mu.Unlock()
-	close(b.done)
-	if onDone != nil && !b.muted {
-		onDone(b)
-	}
-}
-
-// terminalSince reports whether the batch finished at or before cutoff.
-func (b *Batch) terminalSince(cutoff time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return !b.finishedAt.IsZero() && !b.finishedAt.After(cutoff)
-}
 
 // BatchCellJSON is one (app, policy) cell of a batch response: the child
 // run's identity and headline numbers (poll GET /v1/runs/{run_id} for
@@ -160,15 +139,13 @@ func (b *Batch) JSON() BatchJSON {
 // so clients can poll the aggregate, oldest finished go first past the
 // cap, and in-flight batches are never evicted.
 type batchRegistry struct {
-	ttl time.Duration
-	max int
 	now func() time.Time
 	// onDone, when non-nil, observes each batch reaching its terminal
 	// state (the server journals a batchdone record there).
 	onDone func(*Batch)
 
 	mu      sync.Mutex
-	batches map[string]*Batch
+	batches retention[*Batch]
 	seq     int
 	// watchers tracks the per-batch watcher goroutines so shutdown can
 	// wait for all of them (the goroutine-leak gate).
@@ -176,7 +153,7 @@ type batchRegistry struct {
 }
 
 func newBatchRegistry(ttl time.Duration, max int, now func() time.Time) *batchRegistry {
-	return &batchRegistry{ttl: ttl, max: max, now: now, batches: make(map[string]*Batch)}
+	return &batchRegistry{now: now, batches: newRetention[*Batch](ttl, max)}
 }
 
 // create stores a batch over the given cells and starts its watcher.
@@ -184,7 +161,7 @@ func (g *batchRegistry) create(apps, policies []string, cells []*Run) *Batch {
 	now := g.now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.evictLocked(now)
+	g.batches.evict(now)
 	g.seq++
 	b := &Batch{
 		ID:        fmt.Sprintf("batch-%06d", g.seq),
@@ -195,8 +172,7 @@ func (g *batchRegistry) create(apps, policies []string, cells []*Run) *Batch {
 		createdAt: now,
 		done:      make(chan struct{}),
 	}
-	g.batches[b.ID] = b
-	g.startWatcher(b)
+	g.startLocked(b)
 	return b
 }
 
@@ -224,19 +200,41 @@ func (g *batchRegistry) restore(id string, apps, policies []string, cells []*Run
 		createdAt: now,
 		done:      make(chan struct{}),
 	}
-	g.batches[id] = b
-	g.startWatcher(b)
+	g.startLocked(b)
 	return b
 }
 
-// startWatcher launches b's completion watcher under the registry's
-// WaitGroup. Callers hold g.mu.
-func (g *batchRegistry) startWatcher(b *Batch) {
+// startLocked stores b and launches its completion watcher under the
+// registry's WaitGroup: the watcher waits for every cell, settles the
+// batch, and reports completion (the server journals it). Callers hold
+// g.mu.
+func (g *batchRegistry) startLocked(b *Batch) {
+	b.slot = g.batches.add(b.ID, b.seq, b)
 	g.watchers.Add(1)
 	go func() {
 		defer g.watchers.Done()
-		b.watch(g.now, g.onDone)
+		for _, run := range b.cells {
+			<-run.Done()
+		}
+		g.settle(b)
+		if g.onDone != nil && !b.muted {
+			g.onDone(b)
+		}
 	}()
+}
+
+// settle stamps b finished and queues it for retention, both under the
+// registry's lock so the finish queue is in stamp order, then releases
+// waiters.
+func (g *batchRegistry) settle(b *Batch) {
+	g.mu.Lock()
+	now := g.now()
+	b.mu.Lock()
+	b.finishedAt = now
+	b.mu.Unlock()
+	g.batches.finish(b.slot, now)
+	g.mu.Unlock()
+	close(b.done)
 }
 
 // wait blocks until every watcher goroutine has exited (all batches
@@ -246,37 +244,8 @@ func (g *batchRegistry) wait() { g.watchers.Wait() }
 func (g *batchRegistry) get(id string) (*Batch, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.evictLocked(g.now())
-	b, ok := g.batches[id]
-	return b, ok
-}
-
-// evictLocked mirrors registry.evictLocked for batches. Callers hold
-// g.mu.
-func (g *batchRegistry) evictLocked(now time.Time) {
-	if g.ttl > 0 {
-		cutoff := now.Add(-g.ttl)
-		for id, b := range g.batches {
-			if b.terminalSince(cutoff) {
-				delete(g.batches, id)
-			}
-		}
-	}
-	if g.max > 0 && len(g.batches) > g.max {
-		finished := make([]*Batch, 0, len(g.batches))
-		for _, b := range g.batches {
-			if b.terminalSince(now) {
-				finished = append(finished, b)
-			}
-		}
-		sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
-		for _, b := range finished {
-			if len(g.batches) <= g.max {
-				break
-			}
-			delete(g.batches, b.ID)
-		}
-	}
+	g.batches.evict(g.now())
+	return g.batches.get(id)
 }
 
 // BatchRequest is the body of POST /v1/batch: the cross product of apps

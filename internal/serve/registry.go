@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,16 +27,6 @@ const (
 	StatusPanicked    = "panicked"
 	StatusInterrupted = "interrupted"
 )
-
-// terminalStatus reports whether a run in this status has finished for
-// good.
-func terminalStatus(status string) bool {
-	switch status {
-	case StatusDone, StatusFailed, StatusPanicked, StatusInterrupted:
-		return true
-	}
-	return false
-}
 
 // Run is one evaluation request's lifecycle record. Fields are guarded
 // by mu; Done closes when the run reaches a terminal state.
@@ -72,6 +61,12 @@ type Run struct {
 	// the /live SSE stream). Nil for journal-restored terminal records;
 	// journal-replayed re-executions get a fresh recorder.
 	timeline *timeline.Recorder
+
+	// reg and slot place the run in its registry's retention queues;
+	// set at creation, nil for a run outside any registry. slot is
+	// guarded by reg.mu.
+	reg  *registry
+	slot *retained[*Run]
 
 	done chan struct{}
 }
@@ -139,29 +134,25 @@ func (r *Run) start(now time.Time) {
 
 // finish records the outcome and releases waiters.
 func (r *Run) finish(rep *session.Report, err error, now time.Time) {
-	r.mu.Lock()
-	r.finishedAt = now
-	if err != nil {
-		r.status = StatusFailed
-		r.err = err.Error()
-	} else {
-		r.status = StatusDone
-		r.report = rep
-	}
-	r.mu.Unlock()
-	close(r.done)
+	r.settle(now, func() {
+		if err != nil {
+			r.status = StatusFailed
+			r.err = err.Error()
+		} else {
+			r.status = StatusDone
+			r.report = rep
+		}
+	})
 }
 
 // finishPanic quarantines the run: terminal "panicked" state carrying
 // the recovered value and the goroutine stack, no report.
 func (r *Run) finishPanic(err error, stack string, now time.Time) {
-	r.mu.Lock()
-	r.finishedAt = now
-	r.status = StatusPanicked
-	r.err = err.Error()
-	r.stack = stack
-	r.mu.Unlock()
-	close(r.done)
+	r.settle(now, func() {
+		r.status = StatusPanicked
+		r.err = err.Error()
+		r.stack = stack
+	})
 }
 
 // finishRestored stamps a journal-replayed outcome onto the record:
@@ -169,13 +160,30 @@ func (r *Run) finishPanic(err error, stack string, now time.Time) {
 // for done runs the recorded headline numbers. The record is terminal
 // from birth.
 func (r *Run) finishRestored(status, errMsg string, h *headline, now time.Time) {
+	r.settle(now, func() {
+		r.status = status
+		r.err = errMsg
+		r.headline = h
+		r.restored = true
+	})
+}
+
+// settle makes the run terminal: it stamps finishedAt and applies the
+// outcome under the run's lock, queues the run for retention under the
+// registry's lock (held across both, so the registry's finish queue is
+// in stamp order), then releases waiters.
+func (r *Run) settle(now time.Time, outcome func()) {
+	if g := r.reg; g != nil {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+	}
 	r.mu.Lock()
 	r.finishedAt = now
-	r.status = status
-	r.err = errMsg
-	r.headline = h
-	r.restored = true
+	outcome()
 	r.mu.Unlock()
+	if g := r.reg; g != nil {
+		g.runs.finish(r.slot, now)
+	}
 	close(r.done)
 }
 
@@ -204,13 +212,6 @@ func (r *Run) Report() *session.Report {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.report
-}
-
-// terminalSince reports whether the run finished at or before cutoff.
-func (r *Run) terminalSince(cutoff time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return terminalStatus(r.status) && !r.finishedAt.After(cutoff)
 }
 
 // RunJSON is the wire form of a run record.
@@ -257,28 +258,27 @@ func (r *Run) JSON() RunJSON {
 	return out
 }
 
-// registry is the in-memory run store with TTL-based retention,
-// modelled on a production exporter's retention manager: finished runs
-// are kept for TTL so clients can poll results, then evicted; a hard
-// cap bounds memory under bursts (oldest finished runs go first;
-// in-flight runs are never evicted).
+// registry is the in-memory run store: finished runs are kept for TTL
+// so clients can poll results, then evicted; a hard cap bounds memory
+// under bursts (oldest finished runs go first; in-flight runs are never
+// evicted). Eviction runs on every create, get and list, from the
+// queues of retention.go, at a cost independent of the number of
+// retained runs.
 type registry struct {
-	ttl time.Duration
-	max int
 	now func() time.Time
 	// onEvict, when non-nil, observes how many records each eviction
 	// pass dropped (feeds the retention counter on /metrics).
 	onEvict func(n int)
 
 	mu   sync.Mutex
-	runs map[string]*Run
+	runs retention[*Run]
 	seq  int
 }
 
 // newRegistry returns an empty registry. ttl <= 0 means keep forever
 // (until the cap); max <= 0 means unbounded.
 func newRegistry(ttl time.Duration, max int, now func() time.Time) *registry {
-	return &registry{ttl: ttl, max: max, now: now, runs: make(map[string]*Run)}
+	return &registry{now: now, runs: newRetention[*Run](ttl, max)}
 }
 
 // create allocates a run record with a fresh sequential ID and stores
@@ -289,9 +289,7 @@ func (g *registry) create(app, policy string) *Run {
 	defer g.mu.Unlock()
 	g.evictLocked(now)
 	g.seq++
-	run := newRun(fmt.Sprintf("run-%06d", g.seq), g.seq, app, policy, now)
-	g.runs[run.ID] = run
-	return run
+	return g.addLocked(newRun(fmt.Sprintf("run-%06d", g.seq), g.seq, app, policy, now))
 }
 
 // restore re-inserts a run under its original journal ID and advances
@@ -305,8 +303,13 @@ func (g *registry) restore(id, app, policy string) *Run {
 	if seq > g.seq {
 		g.seq = seq
 	}
-	run := newRun(id, seq, app, policy, now)
-	g.runs[id] = run
+	return g.addLocked(newRun(id, seq, app, policy, now))
+}
+
+// addLocked stores run and ties it to the registry. Callers hold g.mu.
+func (g *registry) addLocked(run *Run) *Run {
+	run.reg = g
+	run.slot = g.runs.add(run.ID, run.seq, run)
 	return run
 }
 
@@ -328,8 +331,7 @@ func (g *registry) get(id string) (*Run, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.evictLocked(g.now())
-	run, ok := g.runs[id]
-	return run, ok
+	return g.runs.get(id)
 }
 
 // list returns every retained run, newest first.
@@ -337,50 +339,21 @@ func (g *registry) list() []*Run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.evictLocked(g.now())
-	out := make([]*Run, 0, len(g.runs))
-	for _, run := range g.runs {
-		out = append(out, run)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
-	return out
+	return g.runs.newestFirst()
 }
 
 // size returns the number of retained runs.
 func (g *registry) size() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.runs)
+	return g.runs.len()
 }
 
 // evictLocked drops finished runs older than TTL, then — if the store
 // still exceeds the cap — the oldest finished runs beyond it. Callers
 // hold g.mu.
 func (g *registry) evictLocked(now time.Time) {
-	before := len(g.runs)
-	if g.ttl > 0 {
-		cutoff := now.Add(-g.ttl)
-		for id, run := range g.runs {
-			if run.terminalSince(cutoff) {
-				delete(g.runs, id)
-			}
-		}
-	}
-	if g.max > 0 && len(g.runs) > g.max {
-		finished := make([]*Run, 0, len(g.runs))
-		for _, run := range g.runs {
-			if run.terminalSince(now) {
-				finished = append(finished, run)
-			}
-		}
-		sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
-		for _, run := range finished {
-			if len(g.runs) <= g.max {
-				break
-			}
-			delete(g.runs, run.ID)
-		}
-	}
-	if n := before - len(g.runs); n > 0 && g.onEvict != nil {
+	if n := g.runs.evict(now); n > 0 && g.onEvict != nil {
 		g.onEvict(n)
 	}
 }

@@ -387,7 +387,15 @@ func TestCrashRestartReplayByteIdentical(t *testing.T) {
 	}
 
 	// A third daemon over the now-complete journal restores everything
-	// terminally with no re-execution.
+	// terminally with no re-execution. The batch reads done as soon as
+	// its last cell does, but the worker journals that cell's outcome,
+	// and the batch watcher its batchdone record, just after: wait for
+	// all four cell outcomes and the batchdone record to land.
+	waitFor(t, 30*time.Second, "the resumed daemon's outcome records", func() bool {
+		img, err := os.ReadFile(walB)
+		return err == nil && bytes.Count(img, []byte(`"t":"done"`)) >= 4 &&
+			bytes.Contains(img, []byte(`"t":"batchdone"`))
+	})
 	jC, stC, err := resilience.OpenJournal(walB)
 	if err != nil {
 		t.Fatal(err)

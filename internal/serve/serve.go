@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -476,6 +477,10 @@ func (s *Server) execute(j *job) {
 	started := s.now()
 	rep, err, stack := s.runJob(j)
 	now := s.now()
+	// The span tree is complete; shrink it to exact size before the
+	// run joins the retained set. (The session's timeline Finish has
+	// already shrunk the timeline the same way.)
+	j.run.Tracer().Compact()
 	switch {
 	case stack != "":
 		j.run.finishPanic(err, stack, now)
@@ -841,13 +846,42 @@ func (s *Server) instrument(label string, next http.Handler) http.Handler {
 	})
 }
 
-// writeJSON writes v as indented JSON with the given status.
+// jsonWriter is a pooled response encoder: an indenting Encoder bound
+// to its own buffer, so a response is encoded without allocating a
+// fresh Encoder, its indent buffer, or a growing output buffer.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// maxPooledJSON bounds the buffer a pooled jsonWriter may keep: one that
+// grew past it for an unusually large response is left to the
+// collector rather than pinned in the pool.
+const maxPooledJSON = 256 << 10
+
+// writeJSON writes v as indented JSON with the given status. The bytes
+// are exactly what an indenting json.Encoder writing to w would send:
+// the same Encoder code runs, into a pooled buffer first. As with the
+// streaming Encoder, a value that fails to encode sends no body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	err := jw.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers are gone; nothing to do
+	if err == nil {
+		w.Write(jw.buf.Bytes()) //nolint:errcheck // headers are gone; nothing to do
+	}
+	if jw.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(jw)
+	}
 }
 
 // errorJSON is the wire form of every error response.

@@ -227,8 +227,9 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			}
 			// Tracing note: span methods are nil-safe no-ops, so the
 			// untraced path runs them freely; only annotations whose
-			// argument expressions allocate (Config.String()) sit behind
-			// nil checks.
+			// argument expressions can allocate sit behind nil checks:
+			// the integer iteration is formatted, and Config.String()
+			// formats an off-grid config (grid names come from a table).
 			ks := runSpan.Child("kernel")
 			if ks != nil {
 				ks.Attr("name", k.Name).Int("iter", int64(iter))

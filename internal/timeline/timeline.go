@@ -341,6 +341,10 @@ func (r *Recorder) RecordDecision(d Decision) {
 }
 
 // Finish marks the run complete and wakes subscribers. Idempotent.
+// The decision, bucket and transition logs stop growing here, so they
+// are copied to exact length: a finished run's recorder is retained
+// for GET /timeline long after the run, and append's doubling would
+// otherwise leave up to half of each log's backing array unused.
 func (r *Recorder) Finish() {
 	if r == nil {
 		return
@@ -348,9 +352,23 @@ func (r *Recorder) Finish() {
 	r.mu.Lock()
 	if !r.finished {
 		r.finished = true
+		r.decisions = exact(r.decisions)
+		r.buckets = exact(r.buckets)
+		r.transitions = exact(r.transitions)
 		r.wakeLocked()
 	}
 	r.mu.Unlock()
+}
+
+// exact returns a copy of s whose capacity is its length; nil stays
+// nil.
+func exact[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // wakeLocked closes the current notify channel (if any subscriber

@@ -228,3 +228,45 @@ func TestSnapshotWriters(t *testing.T) {
 		t.Fatalf("summary rendering missing fields:\n%s", got)
 	}
 }
+
+// TestFinishCompactsWithoutChangingSnapshot: Finish trims the logs to
+// exact length, and the finished recorder snapshots to the same bytes
+// as an unfinished twin (apart from the completion flag).
+func TestFinishCompactsWithoutChangingSnapshot(t *testing.T) {
+	record := func(r *Recorder) {
+		r.StartRun("SRAD", "harmonia")
+		cfg := ConfigOf(hw.MaxConfig())
+		for i := 0; i < 37; i++ {
+			r.ObserveSamples([]daq.Sample{sampleAt(float64(i)*0.0011, 10+float64(i), 20, 5)})
+			if i%3 == 0 {
+				cfg.CUs = 4 + 4*(i%8)
+			}
+			r.RecordDecision(Decision{Kernel: "k", Iter: i, StartS: float64(i) * 0.0011, EndS: float64(i+1) * 0.0011,
+				Config: cfg, Commanded: cfg, Source: "cg", Bins: &Bins{CUs: "LOW", CUFreq: "MED", MemFreq: "HIGH"}})
+		}
+	}
+	live, finished := New(), New()
+	record(live)
+	record(finished)
+	finished.Finish()
+	finished.mu.Lock()
+	if cap(finished.decisions) != len(finished.decisions) || cap(finished.buckets) != len(finished.buckets) ||
+		cap(finished.transitions) != len(finished.transitions) {
+		t.Errorf("Finish left slack: decisions %d/%d, buckets %d/%d, transitions %d/%d",
+			len(finished.decisions), cap(finished.decisions), len(finished.buckets), cap(finished.buckets),
+			len(finished.transitions), cap(finished.transitions))
+	}
+	finished.mu.Unlock()
+	want := live.Snapshot()
+	want.Complete = true
+	var a, b bytes.Buffer
+	if err := want.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := finished.Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("Finish changed the snapshot:\n%.1500s\n---\n%.1500s", a.String(), b.String())
+	}
+}

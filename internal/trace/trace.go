@@ -73,25 +73,28 @@ type SpanData struct {
 	Events []Event
 }
 
-// Span is one live interval in the recorder's tree. All methods are
-// nil-safe no-ops, so call sites never branch on whether tracing is
-// enabled.
+// Span is one live interval in the recorder's tree: a handle on the
+// recorder's i-th span. All methods are nil-safe no-ops, so call sites
+// never branch on whether tracing is enabled.
 type Span struct {
 	rec *Recorder
-	d   *SpanData
+	i   int
+	id  uint64
 }
 
 // Recorder collects spans. The zero value is not usable; construct with
 // New. A nil *Recorder is the disabled recorder: Start returns a nil
 // span and everything downstream no-ops without allocating.
 type Recorder struct {
-	// mu guards idState, spans, ambient, and every span's data.
+	// mu guards idState, spans, and ambient.
 	mu      sync.Mutex
 	idState uint64
 	traceID string
 	attrs   []Attr
 	clock   func() time.Duration
-	spans   []*SpanData
+	// spans holds every span by value, in start order; a Span indexes
+	// into it.
+	spans   []SpanData
 	ambient *Span
 }
 
@@ -197,16 +200,16 @@ func (r *Recorder) Start(parent *Span, name string) *Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d := &SpanData{
+	d := SpanData{
 		ID:    splitmix64(&r.idState),
 		Name:  name,
 		Start: r.now(),
 	}
-	if parent != nil && parent.d != nil {
-		d.Parent = parent.d.ID
+	if parent != nil {
+		d.Parent = parent.id
 	}
 	r.spans = append(r.spans, d)
-	return &Span{rec: r, d: d}
+	return &Span{rec: r, i: len(r.spans) - 1, id: d.ID}
 }
 
 // SetAmbient installs sp as the implicit parent StartAmbient uses and
@@ -258,16 +261,55 @@ func (r *Recorder) Snapshot() Snapshot {
 	out := Snapshot{
 		TraceID: r.traceID,
 		Attrs:   append([]Attr(nil), r.attrs...),
-		Spans:   make([]SpanData, len(r.spans)),
+		Spans:   packed(r.spans),
 	}
-	for i, d := range r.spans {
-		c := *d
-		c.Attrs = append([]Attr(nil), d.Attrs...)
-		c.Events = append([]Event(nil), d.Events...)
-		if !c.Ended {
+	for i := range out.Spans {
+		if c := &out.Spans[i]; !c.Ended {
 			c.End = now
 		}
-		out.Spans[i] = c
+	}
+	return out
+}
+
+// Compact rewrites the span tree into exact-size storage: the span
+// slice trimmed to its length, and every span's attributes and events
+// packed into one shared slab each, instead of one growth-rounded slice
+// per span. A finished run's recorder is retained for GET /spans long
+// after it stops growing, so compacting it then drops append's growth
+// slack for as long as the run is retained. Spans and attributes
+// written afterwards still land: each slab segment is capacity-capped,
+// so an append reallocates that span's slice rather than overwriting
+// its neighbour's.
+func (r *Recorder) Compact() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.spans = packed(r.spans)
+	r.mu.Unlock()
+}
+
+// packed deep-copies spans into a new exact-length slice whose spans'
+// attributes and events share one exact-size slab each. Empty lists
+// stay nil.
+func packed(spans []SpanData) []SpanData {
+	nattr, nev := 0, 0
+	for i := range spans {
+		nattr += len(spans[i].Attrs)
+		nev += len(spans[i].Events)
+	}
+	out := make([]SpanData, len(spans))
+	attrs, events := make([]Attr, 0, nattr), make([]Event, 0, nev)
+	for i, d := range spans {
+		if n := len(d.Attrs); n > 0 {
+			attrs = append(attrs, d.Attrs...)
+			d.Attrs = attrs[len(attrs)-n : len(attrs) : len(attrs)]
+		}
+		if n := len(d.Events); n > 0 {
+			events = append(events, d.Events...)
+			d.Events = events[len(events)-n : len(events) : len(events)]
+		}
+		out[i] = d
 	}
 	return out
 }
@@ -285,7 +327,8 @@ func (s *Span) Attr(key, value string) *Span {
 		return nil
 	}
 	s.rec.mu.Lock()
-	s.d.Attrs = append(s.d.Attrs, Attr{Key: key, Value: value})
+	d := &s.rec.spans[s.i]
+	d.Attrs = append(d.Attrs, Attr{Key: key, Value: value})
 	s.rec.mu.Unlock()
 	return s
 }
@@ -320,7 +363,8 @@ func (s *Span) Event(name string, attrs ...Attr) {
 		return
 	}
 	s.rec.mu.Lock()
-	s.d.Events = append(s.d.Events, Event{Name: name, At: s.rec.now(), Attrs: attrs})
+	d := &s.rec.spans[s.i]
+	d.Events = append(d.Events, Event{Name: name, At: s.rec.now(), Attrs: attrs})
 	s.rec.mu.Unlock()
 }
 
@@ -338,9 +382,9 @@ func (s *Span) End() {
 		return
 	}
 	s.rec.mu.Lock()
-	if !s.d.Ended {
-		s.d.Ended = true
-		s.d.End = s.rec.now()
+	if d := &s.rec.spans[s.i]; !d.Ended {
+		d.Ended = true
+		d.End = s.rec.now()
 	}
 	s.rec.mu.Unlock()
 }
@@ -351,7 +395,7 @@ func (s *Span) ID() string {
 	if s == nil {
 		return ""
 	}
-	return formatID(s.d.ID)
+	return formatID(s.id)
 }
 
 // Traceable is implemented by policies (the Harmonia controller, the

@@ -296,3 +296,109 @@ func TestChromeSchema(t *testing.T) {
 		t.Fatalf("missing event kinds: M=%v X=%v i=%v", sawMeta, sawComplete, sawInstant)
 	}
 }
+
+// exports renders a snapshot in both wire forms.
+func exports(t *testing.T, r *Recorder) string {
+	t.Helper()
+	var native, chrome bytes.Buffer
+	snap := r.Snapshot()
+	if err := snap.WriteJSON(&native); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	return native.String() + chrome.String()
+}
+
+// TestCompactPreservesExports: compacting a recorder changes what it
+// holds, not what it exports — before compaction, and after spans,
+// attributes, events and ends written on pre-compaction and new spans
+// alike.
+func TestCompactPreservesExports(t *testing.T) {
+	plain, compacted := New(5, WithClock(counterClock())), New(5, WithClock(counterClock()))
+	var opens [2]*Span
+	for i, r := range []*Recorder{plain, compacted} {
+		buildTree(r)
+		opens[i] = r.Start(nil, "late")
+		opens[i].Attr("phase", "before")
+		// A neighbour in the attribute slab: a post-compaction append
+		// to "late" must not overwrite its attributes.
+		r.Start(nil, "neighbour").Attr("keep", "me").End()
+	}
+	compacted.Compact()
+	if a, b := exports(t, plain), exports(t, compacted); a != b {
+		t.Fatalf("compaction changed the export:\n%s\n---\n%s", a, b)
+	}
+	compacted.mu.Lock()
+	nattr, capattr := 0, 0
+	for _, d := range compacted.spans {
+		nattr, capattr = nattr+len(d.Attrs), capattr+cap(d.Attrs)
+	}
+	exact := cap(compacted.spans) == len(compacted.spans) && capattr == nattr
+	compacted.mu.Unlock()
+	if !exact {
+		t.Errorf("compacted storage not exact: %d/%d span slots, %d/%d attr slots",
+			len(compacted.spans), cap(compacted.spans), nattr, capattr)
+	}
+	for i, r := range []*Recorder{plain, compacted} {
+		opens[i].Attr("phase", "after").Float("share", 0.5)
+		opens[i].Event("tick", Int64Attr("n", 1))
+		child := opens[i].Child("after-compaction")
+		child.Attr("k", "v")
+		child.End()
+		opens[i].End()
+		r.Start(nil, "root-after").Int("n", 2).End()
+	}
+	if a, b := exports(t, plain), exports(t, compacted); a != b {
+		t.Fatalf("writes after compaction diverged:\n%s\n---\n%s", a, b)
+	}
+}
+
+// FuzzParseTraceparent: ParseTraceparent never panics; whatever it
+// accepts carries a 32- and a 16-digit lowercase hex ID, neither all
+// zero; and a header re-assembled from the parsed IDs parses to the
+// same IDs.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x",
+		"", "00--", "\x00-\xff",
+	} {
+		f.Add(s)
+	}
+	lowerHex := func(s string, n int) bool {
+		if len(s) != n {
+			return false
+		}
+		zero := true
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+				return false
+			}
+			zero = zero && c == '0'
+		}
+		return !zero
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		tid, pid, ok := ParseTraceparent(header)
+		if !ok {
+			if tid != "" || pid != "" {
+				t.Fatalf("rejected %q but returned IDs %q, %q", header, tid, pid)
+			}
+			return
+		}
+		if !lowerHex(tid, 32) || !lowerHex(pid, 16) {
+			t.Fatalf("accepted %q with malformed IDs %q, %q", header, tid, pid)
+		}
+		tid2, pid2, ok2 := ParseTraceparent("00-" + tid + "-" + pid + "-01")
+		if !ok2 || tid2 != tid || pid2 != pid {
+			t.Fatalf("re-assembled header of %q parsed to %q, %q, %v; want %q, %q", header, tid2, pid2, ok2, tid, pid)
+		}
+	})
+}

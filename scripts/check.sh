@@ -3,7 +3,8 @@
 # analyzers (-werror: malformed suppressions fail too; timed against a
 # 10s budget, with the suggested-fix layer gated on -diff emptiness and
 # the fix-application tests), race-detector
-# test run, a focused race pass over the concurrent service layer, an
+# test run, a focused race pass over the concurrent service layer, the
+# served-path retention, compaction and response-encoding gates, an
 # observability smoke (the spans endpoint in both formats, the tracing
 # inertness gates, and the debug mux), the hot-path equivalence gates
 # (golden float bits across the gpusim invariant hoisting, the
@@ -50,6 +51,18 @@ go test -count=1 -run 'TestFixApply|TestFixDiff' ./internal/lint/
 # internal/eventsim, the slowest binary, takes about 5.5.
 go test -race -timeout 30m ./...
 go test -race -count=1 ./internal/serve/... ./internal/telemetry/...
+# Served-path retention and lean-run gates: queue-ordered eviction must
+# match the full-scan reference it replaced step for step (retained
+# IDs, list order, eviction counts) and release evicted runs at once; a
+# compacted run's span tree and timeline must serve the same bytes; the
+# pooled response encoder must send the streaming encoder's bytes; and
+# the table-backed config and bins names must equal their formatters,
+# allocation-free.
+go test -count=1 -run 'TestRegistryRetentionMatchesFullScan|TestBatchRegistryRetentionMatchesFullScan|TestRetentionReleasesEvictedRecords|TestCompactionKeepsServedBytes|TestWriteJSONMatchesStreamingEncoder' ./internal/serve/
+go test -count=1 -run 'TestCompactPreservesExports' ./internal/trace/
+go test -count=1 -run 'TestFinishCompactsWithoutChangingSnapshot' ./internal/timeline/
+go test -count=1 -run 'TestConfigStringTable' ./internal/hw/
+go test -count=1 -run 'TestBinsNameTable' ./internal/core/
 # Observability smoke: spans endpoint round-trips (native + chrome),
 # request/trace correlation, tracing inertness, and the pprof/expvar
 # debug handler.
